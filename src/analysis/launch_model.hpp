@@ -22,7 +22,6 @@
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
 #include "core/exec_plan.hpp"
-#include "core/partition.hpp"
 #include "core/storage_mode.hpp"
 #include "gpusim/device.hpp"
 
@@ -270,56 +269,6 @@ void attach_exec_plan(LaunchModel& lm, const ExecPlan<T>& plan,
     slices.push_back(std::move(pm));
   }
   lm.plan = std::move(slices);
-}
-
-/// One region of a partitioned launch as the analyzer sees it. ELL/CSR
-/// regions carry no CRSD launch model — their kernels have no staging
-/// barriers or pattern metadata to prove anything about, and their
-/// row-disjointness is what the partition check establishes.
-struct RegionLaunchModel {
-  RowRegion region;
-  std::optional<LaunchModel> crsd;  ///< set iff region.format == kCrsd
-};
-
-/// A partitioned launch: the validated region cover plus one abstract CRSD
-/// launch model per CRSD region. Because the executor gives every region a
-/// private device and a disjoint y window, proving each region's model
-/// proves the composed launch — there is no cross-region stream to model.
-struct PartitionedLaunchModel {
-  index_t num_rows = 0;
-  std::vector<RegionLaunchModel> regions;
-
-  index_t num_crsd_regions() const {
-    index_t n = 0;
-    for (const RegionLaunchModel& r : regions) n += r.crsd.has_value() ? 1 : 0;
-    return n;
-  }
-};
-
-/// Extracts the abstract launch model of a partitioned launch. Throws a
-/// kPlanPartition DiagnosticError when the container's region list is not a
-/// valid partition under the device's wavefront constraint; per-region CRSD
-/// extraction then enforces the same mrows/wavefront rule as the
-/// single-container overload.
-template <Real T>
-PartitionedLaunchModel build_launch_model(const PartitionedMatrix<T>& m,
-                                          const AnalyzeOptions& opts = {}) {
-  std::vector<check::Diagnostic> diags = validate_partition(
-      m.num_rows(), m.regions(), opts.spec.wavefront_size);
-  if (!diags.empty()) {
-    throw check::DiagnosticError("partitioned launch model: invalid partition",
-                                 std::move(diags));
-  }
-  PartitionedLaunchModel pm;
-  pm.num_rows = m.num_rows();
-  pm.regions.reserve(m.parts().size());
-  for (const auto& part : m.parts()) {
-    RegionLaunchModel rm;
-    rm.region = part.region;
-    if (part.crsd) rm.crsd = build_launch_model(*part.crsd, opts);
-    pm.regions.push_back(std::move(rm));
-  }
-  return pm;
 }
 
 }  // namespace crsd::analysis

@@ -1,14 +1,11 @@
 // The facade build API: one options struct folding everything the scattered
 // overloads used to thread by hand — CrsdConfig construction knobs, storage
-// compaction (already inside CrsdConfig::storage), the row-partition policy,
-// and tuning-cache defaulting — behind a single crsd::build() entry point.
+// compaction (already inside CrsdConfig::storage) and tuning-cache
+// defaulting — behind a single crsd::build() entry point.
 //
 // This header sits at the facade layer: it deliberately reaches down into
 // kernels/crsd_autotune.hpp for the persistent tuning cache, the same way
-// crsd.hpp aggregates every subsystem. Partitioned *building* through the
-// cached planner and the task-graph *executor* live in
-// kernels/partitioned_spmv.hpp (they need the crsd_runtime library; see the
-// note in crsd.hpp).
+// crsd.hpp aggregates every subsystem.
 #pragma once
 
 #include <optional>
@@ -16,25 +13,18 @@
 
 #include "common/thread_pool.hpp"
 #include "core/builder.hpp"
-#include "core/partition.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/crsd_autotune.hpp"
 #include "matrix/coo.hpp"
 
 namespace crsd {
 
-/// Unified build options. Implicitly constructible from CrsdConfig so the
-/// mechanical port from build_crsd(a, cfg) to build(a, cfg) is a rename;
-/// a default-constructed BuildOptions builds bit-for-bit what
-/// build_crsd(a) built.
+/// Unified build options. Implicitly constructible from CrsdConfig so
+/// build(a, cfg) pins a configuration; a default-constructed BuildOptions
+/// builds with CrsdConfig{}.
 struct BuildOptions {
   /// Construction knobs, including storage compaction (config.storage).
   CrsdConfig config;
-
-  /// Row-region partition policy, consumed by crsd::build_partitioned
-  /// (kernels/partitioned_spmv.hpp). Plain crsd::build ignores it: a
-  /// partitioned build produces a PartitionedMatrix, not a CrsdMatrix.
-  PartitionPolicy partition;
 
   /// When true, consult the persistent autotuner cache
   /// (kernels::load_cached_tuning) for this matrix structure on `device`
@@ -43,9 +33,9 @@ struct BuildOptions {
   /// stays bitwise-deterministic for callers that pin configurations.
   bool tune_from_cache = false;
 
-  /// Device the tuning-cache entries (and partition plans) are keyed by.
-  /// Callers that run on a simulated device should pass dev.spec(); the
-  /// default spec keys its own cache namespace.
+  /// Device the tuning-cache entries are keyed by. Callers that run on a
+  /// simulated device should pass dev.spec(); the default spec keys its own
+  /// cache namespace.
   gpusim::DeviceSpec device{};
 
   /// Cache directory override; empty resolves $CRSD_TUNE_CACHE, then
@@ -53,13 +43,12 @@ struct BuildOptions {
   std::string cache_dir;
 
   BuildOptions() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): the deprecation-window
-  // bridge — every legacy build_crsd(a, cfg) call site ports by renaming.
+  // NOLINTNEXTLINE(google-explicit-constructor): build(a, cfg) is the
+  // common call shape.
   BuildOptions(const CrsdConfig& cfg) : config(cfg) {}
 };
 
-/// Builds a CRSD matrix from canonical COO — the facade entry point over
-/// the legacy build_crsd overloads. With opts.tune_from_cache set, a
+/// Builds a CRSD matrix from canonical COO — the facade entry point. With opts.tune_from_cache set, a
 /// persistent-cache hit replaces the construction knobs with the cached
 /// winner's (zero measured trials, the OSKI re-ingest path); otherwise the
 /// build is exactly detail::build_crsd_impl(a, opts.config, pool).

@@ -96,7 +96,7 @@ struct CrsdConfig {
 
   /// Construction parallelism. 1 (the default) runs the serial reference
   /// path; > 1 runs the parallel pipeline on the ThreadPool passed to
-  /// build_crsd (or the process-global pool when none is given). The
+  /// crsd::build (or the process-global pool when none is given). The
   /// output is bitwise identical either way; the value is an intent, the
   /// pool's width bounds the real concurrency.
   int threads = 1;
@@ -807,8 +807,7 @@ namespace detail {
 /// Builds a CRSD matrix from canonical COO. With cfg.threads > 1 the
 /// parallel pipeline runs on `pool` (or the process-global pool when null);
 /// the result is bitwise identical to the serial reference either way.
-/// Shared implementation behind crsd::build (core/build_api.hpp) and the
-/// deprecated build_crsd below.
+/// Implementation behind crsd::build (core/build_api.hpp).
 template <Real T>
 CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {},
                               ThreadPool* pool = nullptr) {
@@ -863,16 +862,5 @@ CrsdMatrix<T> build_crsd_impl(const Coo<T>& a, const CrsdConfig& cfg = {},
 }
 
 }  // namespace detail
-
-/// Legacy entry point, kept for the deprecation window. New code goes
-/// through crsd::build(a, BuildOptions) in core/build_api.hpp, which folds
-/// CrsdConfig, storage compaction, partition policy, and tuning-cache
-/// defaulting into one options struct.
-template <Real T>
-[[deprecated("use crsd::build(a, BuildOptions) from core/build_api.hpp")]]
-CrsdMatrix<T> build_crsd(const Coo<T>& a, const CrsdConfig& cfg = {},
-                         ThreadPool* pool = nullptr) {
-  return detail::build_crsd_impl(a, cfg, pool);
-}
 
 }  // namespace crsd

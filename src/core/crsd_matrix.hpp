@@ -48,9 +48,7 @@ struct RowRange {
 /// Rows covered by segments [seg_begin, seg_end) of a container whose row
 /// segments are `mrows` rows tall, clamped to `row_limit` (normally the
 /// container's row count; sharding passes a tighter bound when slicing an
-/// already-clamped window). Taking mrows explicitly — instead of a matrix —
-/// keeps the helper usable for per-region segment heights
-/// (core/partition.hpp), where no single global mrows exists.
+/// already-clamped window).
 constexpr RowRange segment_row_range(index_t seg_begin, index_t seg_end,
                                      index_t mrows, index_t row_limit) {
   return {std::min<index_t>(seg_begin * mrows, row_limit),

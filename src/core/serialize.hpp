@@ -2,12 +2,17 @@
 // discovery) costs a multi-pass analysis; production users build once and
 // reload, the same way OpenCL program binaries are cached. Little-endian
 // POD stream with a magic/version header and the value type tagged.
+//
+// Streams are untrusted input: every length field is bounded by the bytes
+// left in the stream before anything is allocated, and a loaded container
+// passes check::validate before read_crsd returns it.
 #pragma once
 
 #include <cstring>
 #include <istream>
 #include <ostream>
 
+#include "check/validate.hpp"
 #include "common/error.hpp"
 #include "core/crsd_matrix.hpp"
 
@@ -39,9 +44,25 @@ void write_vec(std::ostream& os, const std::vector<P>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(P)));
 }
 
+/// Bytes between the read position and the end of `is`. Length fields are
+/// bounded by it, so the stream must be seekable.
+inline std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  CRSD_CHECK_MSG(here != std::istream::pos_type(-1) && is.good() &&
+                     end >= here,
+                 "CRSD stream is not seekable");
+  return static_cast<std::uint64_t>(end - here);
+}
+
 template <typename P>
 std::vector<P> read_vec(std::istream& is) {
   const auto n = read_pod<std::uint64_t>(is);
+  CRSD_CHECK_MSG(n <= bytes_left(is) / sizeof(P),
+                 "CRSD stream declares " << n << " elements of "
+                     << sizeof(P) << " bytes past its end");
   std::vector<P> v(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(P)));
@@ -111,9 +132,9 @@ void write_crsd(std::ostream& os, const CrsdMatrix<T>& m) {
   CRSD_CHECK_MSG(os.good(), "write failure while serializing CRSD");
 }
 
-/// Reads a CRSD matrix written by write_crsd. Throws on magic/precision
-/// mismatch or truncation. Structural invariants are re-validated by the
-/// CrsdMatrix constructor.
+/// Reads a CRSD matrix written by write_crsd. Throws crsd::Error on
+/// magic/precision mismatch, truncation, a length past the end of the
+/// stream, or a container that fails check::validate.
 template <Real T>
 CrsdMatrix<T> read_crsd(std::istream& is) {
   char magic[sizeof(detail::kCrsdMagic)];
@@ -185,7 +206,12 @@ CrsdMatrix<T> read_crsd(std::istream& is) {
       s.scatter_val_f16 = detail::read_vec<half_t>(is);
       break;
   }
-  return CrsdMatrix<T>(std::move(s));
+  CrsdMatrix<T> m(std::move(s));
+  // The stream does not record CrsdConfig::zero_scatter_rows_in_dia, so
+  // accept either setting.
+  check::validate_or_throw<T>(
+      m, nullptr, check::ValidateOptions{.require_scatter_disjoint = false});
+  return m;
 }
 
 }  // namespace crsd

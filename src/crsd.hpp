@@ -12,11 +12,6 @@
 //  * runtime/ (async task-graph runtime, multi-device sharded SpMV) — needs
 //    the crsd_runtime library; include runtime/task_graph.hpp /
 //    runtime/multi_device.hpp directly.
-//  * kernels/partitioned_spmv.hpp (partitioned build + task-graph executor
-//    for core/partition.hpp containers) — its executor composes regions on
-//    the crsd_runtime graph; include it directly where partitioned SpMV is
-//    launched. The planner and container (core/partition.hpp) are included
-//    here.
 #pragma once
 
 // Common utilities: errors, fixed-width types, RNG, timers, thread pool.
@@ -55,12 +50,10 @@
 #include "formats/hyb.hpp"
 
 // CRSD container: the unified build entry point (crsd::build/BuildOptions),
-// builder internals, matrix, row-region partitioner, inspection,
-// persistence, updates.
+// builder internals, matrix, inspection, persistence, updates.
 #include "core/build_api.hpp"
 #include "core/builder.hpp"
 #include "core/crsd_matrix.hpp"
-#include "core/partition.hpp"
 #include "core/storage_mode.hpp"
 #include "core/dump.hpp"
 #include "core/exec_plan.hpp"

@@ -93,6 +93,12 @@ Coo<double> broken_diagonals(index_t n, const std::vector<BrokenDiagonal>& diags
 Coo<double> astro_convection(index_t nx, index_t ny, index_t nz,
                              bool unstructured, Rng& rng);
 
+/// Partially diagonal matrix: a `top_rows` stripe with diagonals
+/// {0, ±1, ±band} over `bottom_rows` ragged rows of random columns (widths
+/// in [4, max_row_nnz)), all of which CRSD stores as scatter rows.
+Coo<double> partially_diagonal(index_t top_rows, index_t bottom_rows,
+                               index_t band, index_t max_row_nnz, Rng& rng);
+
 /// Adds `count` uniformly random off-pattern nonzeros (scatter points).
 void inject_scatter(Coo<double>& a, size64_t count, Rng& rng);
 

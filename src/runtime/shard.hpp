@@ -77,8 +77,9 @@ void widen_for_scatter(const CrsdMatrix<T>& m, index_t scatter_begin,
 }  // namespace detail
 
 /// Splits the matrix into `num_shards` contiguous segment runs, balanced by
-/// the same per-segment byte/flop cost the ExecPlan inspector uses, and
-/// derives each shard's row slice, scatter slice, and x-window.
+/// the same per-segment byte cost the ExecPlan inspector uses plus the ELL
+/// cost of the scatter rows each segment holds, and derives each shard's
+/// row slice, scatter slice, and x-window.
 template <Real T>
 std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
   CRSD_CHECK_MSG(num_shards >= 1, "plan_shards needs >= 1 shard");
@@ -93,10 +94,17 @@ std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
     const auto cost = perf::pattern_segment_cost(pat, mrows, vb);
     seg_cost[static_cast<std::size_t>(g)] = double(cost.bytes);
   }
+  // Scatter rows run in the shard that owns their row, so price each one
+  // into its segment; otherwise a scattered tail lands on a single shard.
+  const auto& srow = m.scatter_rows();
+  const double scatter_bytes =
+      double(perf::scatter_row_cost(m.scatter_width(), vb).bytes);
+  for (const index_t row : srow) {
+    seg_cost[static_cast<std::size_t>(row / mrows)] += scatter_bytes;
+  }
   const ParallelPlan plan =
       ParallelPlan::weighted_partition(0, segs, num_shards, seg_cost);
 
-  const auto& srow = m.scatter_rows();
   std::vector<Shard> shards;
   for (int s = 0; s < plan.num_parts(); ++s) {
     Shard sh;

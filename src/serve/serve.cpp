@@ -426,7 +426,7 @@ struct ServeEngineImpl {
   }
 
   /// Lowers one cycle's batches into a task graph and runs it: gather
-  /// (kH2D) -> compute (kLaunch, round-robin lanes) -> deliver (kD2H),
+  /// (kH2D) -> compute (kLaunch, lane chosen by matrix) -> deliver (kD2H),
   /// plus one kReduce epoch node joining the cycle. Handles resolve after
   /// the run, with virtual finish times from the graph's modeled clocks.
   DispatchStats dispatch(std::vector<Batch> batches) {
@@ -477,9 +477,13 @@ struct ServeEngineImpl {
                                     sizeof(double));
           });
 
+      // One lane per matrix: the in-order queue serializes batches that
+      // share the entry's SpmmEngine scratch, while different matrices
+      // still overlap across lanes.
       const rt::NodeId exec = g.add_node(
           rt::NodeKind::kLaunch,
-          exec_qs[bi % static_cast<std::size_t>(opts.exec_lanes)],
+          exec_qs[static_cast<std::size_t>(e.id) %
+                  static_cast<std::size_t>(opts.exec_lanes)],
           "spmm." + tag, [this, b, k, ncols, nrows] {
             const Entry& en = *b->entry;
             if (k >= 2) {

@@ -1,9 +1,9 @@
 // Multi-device sharded SpMV suite: bitwise identity of the sharded sweep
 // against the single-device launch across 1/2/4 devices and every storage
-// mode, shard-plan structure, x-window coverage, the broken-partition
-// mutation fixture, scatter-safe pipelined D2H, and memcheck-clean ranged
-// launches. Suite names contain "MultiDevice" so the TSan CI job picks them
-// up via its -R filter.
+// mode, shard-plan structure, x-window coverage, scatter-aware shard
+// balance, the broken-partition mutation fixture, scatter-safe pipelined
+// D2H, and memcheck-clean ranged launches. Suite names contain
+// "MultiDevice" so the TSan CI job picks them up via its -R filter.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -155,6 +155,36 @@ TEST(MultiDevice, TwoDevicesBeatOneOnTheVirtualTimeline) {
     (nd == 1 ? t1 : t2) = t;
   }
   EXPECT_GT(t1 / t2, 1.2) << "1-dev " << t1 << "s vs 2-dev " << t2 << "s";
+}
+
+TEST(MultiDevice, ScatteredTailSpreadsAcrossShards) {
+  // A diagonal stripe over a scattered-row tail: the shard planner must
+  // price scatter rows, or the whole tail lands on the last shard and four
+  // devices run no faster than one.
+  Rng rng(13);
+  const auto a = partially_diagonal(6144, 6144, 8, 56, rng);
+  const auto m = build(a, CrsdConfig{});
+  ASSERT_GT(m.num_scatter_rows(), 0);
+  std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
+  for (auto& v : x) v = rng.next_double(-1.0, 1.0);
+  std::vector<double> y_ref(static_cast<std::size_t>(a.num_rows()));
+  Device ref_dev(DeviceSpec::tesla_c2050());
+  const double t1 =
+      kernels::gpu_spmv_crsd(ref_dev, m, x.data(), y_ref.data()).seconds;
+
+  MultiDeviceOptions opts;
+  opts.transfer_vectors = false;
+  const MultiDeviceSpmv<double> engine(m, 4, opts);
+  std::vector<Device> devs(4, Device(DeviceSpec::tesla_c2050()));
+  std::vector<Device*> dev_ptrs{&devs[0], &devs[1], &devs[2], &devs[3]};
+  ThreadPool pool(4);
+  std::vector<double> y(y_ref.size(), -1.0);
+  const double t4 =
+      engine.run(dev_ptrs, x.data(), y.data(), pool).makespan_seconds;
+  EXPECT_GE(t1 / t4, 1.5) << "1-dev " << t1 << "s vs 4-dev " << t4 << "s";
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ASSERT_EQ(y[i], y_ref[i]) << "row " << i;
+  }
 }
 
 TEST(MultiDevice, OverlapHidesMostTransferTime) {

@@ -1,8 +1,13 @@
-// Tests for RCM reordering and binary CRSD serialization.
+// Tests for RCM reordering and binary CRSD serialization, including a
+// seeded corruption sweep over a serialized container (the ASan/UBSan job
+// runs it: a corrupt stream must throw or load a valid container, never
+// read out of bounds or allocate from a corrupt length).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
+#include "check/validate.hpp"
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
 #include "core/inspect.hpp"
@@ -163,6 +168,52 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
   const std::string payload = buf.str();
   std::stringstream truncated(payload.substr(0, payload.size() / 2));
   EXPECT_THROW(read_crsd<double>(truncated), Error);
+}
+
+TEST(Serialize, CorruptWordsThrowOrLoadValidContainers) {
+  // A band with scatter rows, so the sweep reaches the pattern table, the
+  // value streams, and the scatter ELL arrays. Each 4-byte word in turn is
+  // XORed with a seeded nonzero mask.
+  Rng rng(12);
+  auto a = dense_band(256, 2);
+  inject_scatter(a, 24, rng);
+  const auto m = build(a, CrsdConfig{.mrows = 32});
+  ASSERT_GT(m.num_scatter_rows(), 0);
+  std::stringstream buf;
+  write_crsd(buf, m);
+  const std::string payload = buf.str();
+
+  const std::vector<double> x(static_cast<std::size_t>(a.num_cols()), 0.5);
+  std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
+  int thrown = 0;
+  int loaded = 0;
+  for (std::size_t off = 0; off + 4 <= payload.size(); off += 4) {
+    std::uint32_t mask = 0;
+    while (mask == 0) mask = static_cast<std::uint32_t>(rng.next_u64());
+    std::string bad = payload;
+    std::uint32_t word = 0;
+    std::memcpy(&word, bad.data() + off, 4);
+    word ^= mask;
+    std::memcpy(bad.data() + off, &word, 4);
+    std::stringstream in(bad);
+    try {
+      const CrsdMatrix<double> got = read_crsd<double>(in);
+      ++loaded;
+      EXPECT_TRUE(check::validate(got, {.require_scatter_disjoint = false})
+                      .empty())
+          << "word at byte " << off;
+      // Both kernels must stay in bounds on whatever loaded.
+      if (got.num_cols() == a.num_cols() && got.num_rows() == a.num_rows()) {
+        got.spmv(x.data(), y.data());
+        got.spmv_scalar(x.data(), y.data());
+      }
+    } catch (const Error&) {
+      ++thrown;
+    }
+  }
+  // Sanity: the sweep exercised both outcomes.
+  EXPECT_GT(thrown, 0);
+  EXPECT_GT(loaded, 0);
 }
 
 class SerializeSuite : public ::testing::TestWithParam<int> {};

@@ -354,6 +354,46 @@ TEST(Serve, AsyncConcurrentSubmittersCoalesce) {
   EXPECT_GE(coalesced, 16);
 }
 
+TEST(Serve, SameMatrixBatchesSerializeAcrossExecLanes) {
+  // Several k >= 2 batches of one matrix in a single cycle share the
+  // entry's SpmmEngine scratch arena. With two exec lanes they must still
+  // run one at a time, or one batch stages its x into the arena while
+  // another reads it. The band is wide and tall enough that each batch
+  // runs long and the staged AD-group path is exercised.
+  ThreadPool pool(4);
+  ServeEngine engine(pool, ServeOptions{.max_batch = 2,
+                                        .exec_lanes = 2,
+                                        .max_queue_depth = 256});
+  Rng rng(21);
+  Coo<double> a = dense_band(20000, 12);
+  inject_scatter(a, 64, rng);
+  const MatrixInfo info = engine.register_matrix(a);
+  ASSERT_TRUE(info.batchable);
+  const CrsdMatrix<double>& m = engine.matrix(info.id);
+
+  constexpr int kCycles = 6;
+  constexpr int kRequests = 16;  // eight k=2 batches per cycle
+  for (int c = 0; c < kCycles; ++c) {
+    std::vector<serve::RequestHandle> handles;
+    for (int r = 0; r < kRequests; ++r) {
+      handles.push_back(engine.submit(info.id, "tenantR",
+                                      make_x(a.num_cols(), c * 97 + r)));
+    }
+    const serve::DispatchStats stats = engine.drain();
+    EXPECT_EQ(stats.batches, kRequests / 2);
+    for (int r = 0; r < kRequests; ++r) {
+      const serve::RequestHandle& h = handles[static_cast<std::size_t>(r)];
+      ASSERT_EQ(h.status(), RequestStatus::kDone);
+      EXPECT_EQ(h.served_batch_k(), 2);
+      const std::vector<double> x = make_x(a.num_cols(), c * 97 + r);
+      std::vector<double> ref(static_cast<std::size_t>(a.num_rows()));
+      m.spmv_scalar(x.data(), ref.data());
+      EXPECT_TRUE(bitwise_equal(h.result(), ref))
+          << "cycle " << c << " request " << r;
+    }
+  }
+}
+
 TEST(Serve, AsyncSingleRequestFallsBackWithinWindow) {
   ThreadPool pool(2);
   ServeEngine engine(pool, ServeOptions{.max_batch = 8,
