@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "codegen/crsd_codegen.hpp"
 #include "core/pattern.hpp"
 
 namespace crsd::codegen {
@@ -326,36 +328,35 @@ void lint_storage_modes(const LintMeta& meta, const std::string& source,
   }
 }
 
-std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
-                                 const std::string& source,
-                                 const std::string& prefix) {
-  std::vector<Diagnostic> out;
-  for (const char* suffix : {"_diag", "_scatter"}) {
-    const std::string decl = "extern \"C\" void " + prefix + suffix + "(";
+/// Flags every `<stem><suffix>` entry point missing from `source`.
+void expect_entry_points(const std::string& source, const std::string& stem,
+                         std::initializer_list<const char*> suffixes,
+                         std::vector<Diagnostic>& out) {
+  for (const char* suffix : suffixes) {
+    const std::string decl = "extern \"C\" void " + stem + suffix + "(";
     if (source.find(decl) == std::string::npos) {
       emit(out, Code::kLintMissingSymbol, -1,
-           "expected entry point " + prefix + suffix + " not found");
+           "expected entry point " + stem + suffix + " not found");
     }
   }
+}
+
+std::vector<Diagnostic> lint_cpu(const LintMeta& meta,
+                                 const std::string& source) {
+  std::vector<Diagnostic> out;
+  expect_entry_points(source, kCpuCodeletSymbol, {"_diag", "_scatter"}, out);
   lint_cpu_body(meta, source, out);
   lint_storage_modes(meta, source, out);
   return out;
 }
 
 std::vector<Diagnostic> lint_cpu_spmm(const LintMeta& meta,
-                                      const std::string& source,
-                                      const std::vector<int>& rhs_blocks,
-                                      const std::string& prefix) {
+                                      const std::string& source) {
   std::vector<Diagnostic> out;
-  for (int rhs : rhs_blocks) {
-    const std::string stem = prefix + "_r" + std::to_string(rhs);
-    for (const char* suffix : {"_diag", "_scatter"}) {
-      const std::string decl = "extern \"C\" void " + stem + suffix + "(";
-      if (source.find(decl) == std::string::npos) {
-        emit(out, Code::kLintMissingSymbol, -1,
-             "expected entry point " + stem + suffix + " not found");
-      }
-    }
+  for (int rhs : kSpmmRhsBlocks) {
+    expect_entry_points(
+        source, std::string(kCpuSpmmCodeletSymbol) + "_r" + std::to_string(rhs),
+        {"_diag", "_scatter"}, out);
     // The baked register-block width must be declared next to each variant;
     // a mismatch means the dispatcher would feed the wrong number of
     // vectors to the unrolled accumulators.
@@ -371,16 +372,10 @@ std::vector<Diagnostic> lint_cpu_spmm(const LintMeta& meta,
 }
 
 std::vector<Diagnostic> lint_gpu(const LintMeta& meta,
-                                 const std::string& source,
-                                 const std::string& prefix) {
+                                 const std::string& source) {
   std::vector<Diagnostic> out;
-  for (const char* suffix : {"_group", "_scatter_group"}) {
-    const std::string decl = "extern \"C\" void " + prefix + suffix + "(";
-    if (source.find(decl) == std::string::npos) {
-      emit(out, Code::kLintMissingSymbol, -1,
-           "expected entry point " + prefix + suffix + " not found");
-    }
-  }
+  expect_entry_points(source, kGpuCodeletSymbol, {"_group", "_scatter_group"},
+                      out);
 
   const auto& patterns = *meta.patterns;
   const auto& cum = *meta.cum_segments;
@@ -429,39 +424,34 @@ std::vector<Diagnostic> lint_gpu(const LintMeta& meta,
 }  // namespace
 
 template <Real T>
-std::vector<Diagnostic> lint_cpu_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::string& symbol_prefix) {
-  return lint_cpu(make_lint_meta(m), source, symbol_prefix);
+std::vector<Diagnostic> lint_cpu_codelet_source(const CrsdMatrix<T>& m,
+                                                const std::string& source) {
+  return lint_cpu(make_lint_meta(m), source);
 }
 
 template <Real T>
 std::vector<Diagnostic> lint_cpu_spmm_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::vector<int>& rhs_blocks, const std::string& symbol_prefix) {
-  return lint_cpu_spmm(make_lint_meta(m), source, rhs_blocks, symbol_prefix);
+    const CrsdMatrix<T>& m, const std::string& source) {
+  return lint_cpu_spmm(make_lint_meta(m), source);
 }
 
 template <Real T>
-std::vector<Diagnostic> lint_gpu_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::string& symbol_prefix) {
-  return lint_gpu(make_lint_meta(m), source, symbol_prefix);
+std::vector<Diagnostic> lint_gpu_codelet_source(const CrsdMatrix<T>& m,
+                                                const std::string& source) {
+  return lint_gpu(make_lint_meta(m), source);
 }
 
 template std::vector<Diagnostic> lint_cpu_codelet_source<double>(
-    const CrsdMatrix<double>&, const std::string&, const std::string&);
+    const CrsdMatrix<double>&, const std::string&);
 template std::vector<Diagnostic> lint_cpu_codelet_source<float>(
-    const CrsdMatrix<float>&, const std::string&, const std::string&);
+    const CrsdMatrix<float>&, const std::string&);
 template std::vector<Diagnostic> lint_cpu_spmm_codelet_source<double>(
-    const CrsdMatrix<double>&, const std::string&, const std::vector<int>&,
-    const std::string&);
+    const CrsdMatrix<double>&, const std::string&);
 template std::vector<Diagnostic> lint_cpu_spmm_codelet_source<float>(
-    const CrsdMatrix<float>&, const std::string&, const std::vector<int>&,
-    const std::string&);
+    const CrsdMatrix<float>&, const std::string&);
 template std::vector<Diagnostic> lint_gpu_codelet_source<double>(
-    const CrsdMatrix<double>&, const std::string&, const std::string&);
+    const CrsdMatrix<double>&, const std::string&);
 template std::vector<Diagnostic> lint_gpu_codelet_source<float>(
-    const CrsdMatrix<float>&, const std::string&, const std::string&);
+    const CrsdMatrix<float>&, const std::string&);
 
 }  // namespace crsd::codegen

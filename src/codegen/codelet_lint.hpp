@@ -38,26 +38,23 @@
 namespace crsd::codegen {
 
 /// Lints CPU codelet source generated for the structure of `m` (the
-/// generate_cpu_codelet_source output with the given symbol prefix).
+/// generate_cpu_codelet_source output).
 template <Real T>
 std::vector<check::Diagnostic> lint_cpu_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::string& symbol_prefix = "crsd_codelet");
+    const CrsdMatrix<T>& m, const std::string& source);
 
 /// Lints CPU SpMM codelet source (generate_cpu_spmm_codelet_source output):
 /// the per-line structural checks of the SpMV lint plus, for every
-/// register-block size in `rhs_blocks`, the <prefix>_r<R>_{diag,scatter}
-/// entry points and the baked rhs_block marker.
+/// register-block size in kSpmmRhsBlocks, the
+/// crsd_spmm_codelet_r<R>_{diag,scatter} entry points and the baked
+/// rhs_block marker.
 template <Real T>
 std::vector<check::Diagnostic> lint_cpu_spmm_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::vector<int>& rhs_blocks,
-    const std::string& symbol_prefix = "crsd_spmm_codelet");
+    const CrsdMatrix<T>& m, const std::string& source);
 
 /// Lints simulated-GPU codelet source (generate_gpu_codelet_source output).
 template <Real T>
 std::vector<check::Diagnostic> lint_gpu_codelet_source(
-    const CrsdMatrix<T>& m, const std::string& source,
-    const std::string& symbol_prefix = "crsd_gpu_codelet");
+    const CrsdMatrix<T>& m, const std::string& source);
 
 }  // namespace crsd::codegen

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "codegen/code_writer.hpp"
-#include "common/error.hpp"
 
 namespace crsd::codegen {
 namespace {
@@ -235,20 +234,15 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
   w.close();  // interior segment loop
 }
 
-void emit_cpu_diag(CodeWriter& w, const Meta& meta,
-                   const CpuCodeletOptions& opts, const StorageCtx& sc) {
-  if (sc.raw) {
-    // Compact storage: the value stream travels as an untyped pointer (the
-    // host passes the active stream's data()), typed here once.
-    w.open("extern \"C\" void " + opts.symbol_prefix +
-           "_diag(const void* dia_stream, const T* x, T* y, "
-           "std::int32_t seg_begin, std::int32_t seg_end)");
-    w.line("const VT* dia_val = (const VT*)dia_stream;");
-  } else {
-    w.open("extern \"C\" void " + opts.symbol_prefix +
-           "_diag(const T* dia_val, const T* x, T* y, std::int32_t seg_begin, "
-           "std::int32_t seg_end)");
-  }
+/// Per-pattern body of a CPU diagonal-phase function, shared by the SpMV
+/// and SpMM codelets: the pattern comment, the g0/g1 clamps of the caller's
+/// segment range, and the interior/edge split — edge segments before and
+/// after the interior share one emitted body. `edge(p, seg0, base, slots)`
+/// emits one edge segment's body, `interior(p, seg0, base, slots)` the
+/// clamp-free loop over [i0, i1).
+template <typename EmitEdge, typename EmitInterior>
+void emit_cpu_pattern_dispatch(CodeWriter& w, const Meta& meta,
+                               EmitEdge&& edge, EmitInterior&& interior) {
   const auto& patterns = *meta.patterns;
   for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
     const auto& p = patterns[pi];
@@ -271,32 +265,55 @@ void emit_cpu_diag(CodeWriter& w, const Meta& meta,
     if (in.begin >= in.end) {
       // No interior: the whole pattern runs on the clamped edge path.
       w.open("for (std::int32_t g = g0; g < g1; ++g)");
-      emit_cpu_edge_segment_body(w, meta, p, seg0, base, slots, sc);
+      edge(p, seg0, base, slots);
       w.close();
     } else {
       w.line("const std::int32_t i0 = crsd_clampi(" + itos(in.begin) +
              ", g0, g1);");
       w.line("const std::int32_t i1 = crsd_clampi(" + itos(in.end) +
              ", i0, g1);");
-      // Edge segments before and after the interior share one emitted body.
       w.line("const std::int32_t edge_bounds[4] = {g0, i0, i1, g1};");
       w.open("for (std::int32_t ei = 0; ei < 2; ++ei)");
       w.open("for (std::int32_t g = edge_bounds[2 * ei]; "
              "g < edge_bounds[2 * ei + 1]; ++g)");
-      emit_cpu_edge_segment_body(w, meta, p, seg0, base, slots, sc);
+      edge(p, seg0, base, slots);
       w.close();
       w.close();
-      emit_cpu_interior_loop(w, meta, p, seg0, base, slots, sc);
+      interior(p, seg0, base, slots);
     }
     w.close();  // pattern scope
   }
+}
+
+void emit_cpu_diag(CodeWriter& w, const Meta& meta, const StorageCtx& sc) {
+  if (sc.raw) {
+    // Compact storage: the value stream travels as an untyped pointer (the
+    // host passes the active stream's data()), typed here once.
+    w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
+           "_diag(const void* dia_stream, const T* x, T* y, "
+           "std::int32_t seg_begin, std::int32_t seg_end)");
+    w.line("const VT* dia_val = (const VT*)dia_stream;");
+  } else {
+    w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
+           "_diag(const T* dia_val, const T* x, T* y, std::int32_t seg_begin, "
+           "std::int32_t seg_end)");
+  }
+  emit_cpu_pattern_dispatch(
+      w, meta,
+      [&](const DiagonalPattern& p, index_t seg0, size64_t base,
+          size64_t slots) {
+        emit_cpu_edge_segment_body(w, meta, p, seg0, base, slots, sc);
+      },
+      [&](const DiagonalPattern& p, index_t seg0, size64_t base,
+          size64_t slots) {
+        emit_cpu_interior_loop(w, meta, p, seg0, base, slots, sc);
+      });
   w.close();  // function
 }
 
-void emit_cpu_scatter(CodeWriter& w, const Meta& meta,
-                      const CpuCodeletOptions& opts, const StorageCtx& sc) {
+void emit_cpu_scatter(CodeWriter& w, const Meta& meta, const StorageCtx& sc) {
   if (!sc.raw) {
-    w.open("extern \"C\" void " + opts.symbol_prefix +
+    w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
            "_scatter(const T* scatter_val, const std::int32_t* scatter_col, "
            "const std::int32_t* scatter_rowno, const T* x, T* y, "
            "std::int32_t row_begin, std::int32_t row_end)");
@@ -329,7 +346,7 @@ void emit_cpu_scatter(CodeWriter& w, const Meta& meta,
   // Raw-ABI scatter for compact storage: the value stream and the column
   // representation travel untyped; delta mode additionally carries the
   // per-row byte offsets in the aux pointer.
-  w.open("extern \"C\" void " + opts.symbol_prefix +
+  w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
          "_scatter(const void* scatter_val_stream, "
          "const void* scatter_col_stream, const void* scatter_aux_stream, "
          "const std::int32_t* scatter_rowno, const T* x, T* y, "
@@ -408,7 +425,7 @@ void emit_cpu_scatter(CodeWriter& w, const Meta& meta,
   w.close();
 }
 
-std::string generate_cpu(const Meta& meta, const CpuCodeletOptions& opts) {
+std::string generate_cpu(const Meta& meta) {
   const StorageCtx sc = make_storage_ctx(meta);
   CodeWriter w;
   w.line("// Generated by crsd::codegen — CRSD SpMV codelet for one matrix");
@@ -447,9 +464,9 @@ std::string generate_cpu(const Meta& meta, const CpuCodeletOptions& opts) {
   w.line("return v < lo ? lo : (v > hi ? hi : v);");
   w.close();
   w.line();
-  emit_cpu_diag(w, meta, opts, sc);
+  emit_cpu_diag(w, meta, sc);
   w.line();
-  emit_cpu_scatter(w, meta, opts, sc);
+  emit_cpu_scatter(w, meta, sc);
   return w.str();
 }
 
@@ -584,57 +601,28 @@ void emit_cpu_spmm_interior_loop(CodeWriter& w, const Meta& meta,
   w.close();  // interior segment loop
 }
 
-void emit_cpu_spmm_diag(CodeWriter& w, const Meta& meta,
-                        const std::string& prefix, int rhs) {
-  w.open("extern \"C\" void " + prefix + "_r" + itos(rhs) +
+void emit_cpu_spmm_diag(CodeWriter& w, const Meta& meta, int rhs) {
+  w.open(std::string("extern \"C\" void ") + kCpuSpmmCodeletSymbol + "_r" +
+         itos(rhs) +
          "_diag(const T* dia_val, const T* x, T* y, std::int64_t ldx, "
          "std::int64_t ldy, std::int32_t seg_begin, std::int32_t seg_end)");
   w.line("// rhs_block " + itos(rhs) + " vectors");
-  const auto& patterns = *meta.patterns;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const auto& p = patterns[pi];
-    const index_t seg0 = (*meta.cum_segments)[pi];
-    const index_t seg1 = (*meta.cum_segments)[pi + 1];
-    const size64_t base = (*meta.val_offsets)[pi];
-    const size64_t slots = p.slots_per_segment(meta.mrows);
-    const SegmentInterior in = meta.interior[pi];
-    w.line("// pattern " + itos(static_cast<std::int64_t>(pi)) + ": " +
-           pattern_to_string(p) + ", rows [" + itos(p.start_row) + ", " +
-           itos(std::min<index_t>(meta.num_rows,
-                                  p.start_row + p.num_segments * meta.mrows)) +
-           "), segments [" + itos(seg0) + ", " + itos(seg1) +
-           "), interior [" + itos(in.begin) + ", " + itos(in.end) + ")");
-    w.open("");
-    w.line("const std::int32_t g0 = seg_begin > " + itos(seg0) +
-           " ? seg_begin : " + itos(seg0) + ";");
-    w.line("const std::int32_t g1 = seg_end < " + itos(seg1) +
-           " ? seg_end : " + itos(seg1) + ";");
-    if (in.begin >= in.end) {
-      w.open("for (std::int32_t g = g0; g < g1; ++g)");
-      emit_cpu_spmm_edge_segment_body(w, meta, p, seg0, base, slots, rhs);
-      w.close();
-    } else {
-      w.line("const std::int32_t i0 = crsd_clampi(" + itos(in.begin) +
-             ", g0, g1);");
-      w.line("const std::int32_t i1 = crsd_clampi(" + itos(in.end) +
-             ", i0, g1);");
-      w.line("const std::int32_t edge_bounds[4] = {g0, i0, i1, g1};");
-      w.open("for (std::int32_t ei = 0; ei < 2; ++ei)");
-      w.open("for (std::int32_t g = edge_bounds[2 * ei]; "
-             "g < edge_bounds[2 * ei + 1]; ++g)");
-      emit_cpu_spmm_edge_segment_body(w, meta, p, seg0, base, slots, rhs);
-      w.close();
-      w.close();
-      emit_cpu_spmm_interior_loop(w, meta, p, seg0, base, slots, rhs);
-    }
-    w.close();  // pattern scope
-  }
+  emit_cpu_pattern_dispatch(
+      w, meta,
+      [&](const DiagonalPattern& p, index_t seg0, size64_t base,
+          size64_t slots) {
+        emit_cpu_spmm_edge_segment_body(w, meta, p, seg0, base, slots, rhs);
+      },
+      [&](const DiagonalPattern& p, index_t seg0, size64_t base,
+          size64_t slots) {
+        emit_cpu_spmm_interior_loop(w, meta, p, seg0, base, slots, rhs);
+      });
   w.close();  // function
 }
 
-void emit_cpu_spmm_scatter(CodeWriter& w, const Meta& meta,
-                           const std::string& prefix, int rhs) {
-  w.open("extern \"C\" void " + prefix + "_r" + itos(rhs) +
+void emit_cpu_spmm_scatter(CodeWriter& w, const Meta& meta, int rhs) {
+  w.open(std::string("extern \"C\" void ") + kCpuSpmmCodeletSymbol + "_r" +
+         itos(rhs) +
          "_scatter(const T* scatter_val, const std::int32_t* scatter_col, "
          "const std::int32_t* scatter_rowno, const T* x, T* y, "
          "std::int64_t ldx, std::int64_t ldy, std::int32_t row_begin, "
@@ -682,10 +670,7 @@ void emit_cpu_spmm_scatter(CodeWriter& w, const Meta& meta,
   w.close();
 }
 
-std::string generate_cpu_spmm(const Meta& meta,
-                              const CpuSpmmCodeletOptions& opts) {
-  CRSD_CHECK_MSG(!opts.rhs_blocks.empty(),
-                 "SpMM codelet needs at least one register-block size");
+std::string generate_cpu_spmm(const Meta& meta) {
   CodeWriter w;
   w.line("// Generated by crsd::codegen — CRSD batched-SpMM codelet for one");
   w.line("// matrix structure (" + itos((*meta.patterns).size()) +
@@ -707,12 +692,11 @@ std::string generate_cpu_spmm(const Meta& meta,
          "std::int32_t lo, std::int32_t hi)");
   w.line("return v < lo ? lo : (v > hi ? hi : v);");
   w.close();
-  for (int rhs : opts.rhs_blocks) {
-    CRSD_CHECK_MSG(rhs >= 1, "register-block size must be >= 1");
+  for (int rhs : kSpmmRhsBlocks) {
     w.line();
-    emit_cpu_spmm_diag(w, meta, opts.symbol_prefix, rhs);
+    emit_cpu_spmm_diag(w, meta, rhs);
     w.line();
-    emit_cpu_spmm_scatter(w, meta, opts.symbol_prefix, rhs);
+    emit_cpu_spmm_scatter(w, meta, rhs);
   }
   return w.str();
 }
@@ -720,7 +704,7 @@ std::string generate_cpu_spmm(const Meta& meta,
 void emit_gpu_group_fn(CodeWriter& w, const Meta& meta,
                        const GpuCodeletOptions& opts) {
   const index_t mrows = meta.mrows;
-  w.open("extern \"C\" void " + opts.symbol_prefix +
+  w.open(std::string("extern \"C\" void ") + kGpuCodeletSymbol +
          "_group(const T* dia_val, const T* x, T* y, std::int32_t group_id, "
          "const CrsdGpuHooks* h)");
   const auto& patterns = *meta.patterns;
@@ -823,11 +807,10 @@ void emit_gpu_group_fn(CodeWriter& w, const Meta& meta,
   w.close();  // function
 }
 
-void emit_gpu_scatter_fn(CodeWriter& w, const Meta& meta,
-                         const GpuCodeletOptions& opts) {
+void emit_gpu_scatter_fn(CodeWriter& w, const Meta& meta) {
   const index_t mrows = meta.mrows;
   const index_t nsr = meta.num_scatter_rows;
-  w.open("extern \"C\" void " + opts.symbol_prefix +
+  w.open(std::string("extern \"C\" void ") + kGpuCodeletSymbol +
          "_scatter_group(const T* scatter_val, const std::int32_t* "
          "scatter_col, const std::int32_t* scatter_rowno, const T* x, T* y, "
          "std::int32_t group_id, const CrsdGpuHooks* h)");
@@ -905,7 +888,7 @@ std::string generate_gpu(const Meta& meta, const GpuCodeletOptions& opts) {
   w.line();
   emit_gpu_group_fn(w, meta, opts);
   w.line();
-  emit_gpu_scatter_fn(w, meta, opts);
+  emit_gpu_scatter_fn(w, meta);
   return w.str();
 }
 
@@ -1038,15 +1021,13 @@ Meta make_meta(const CrsdMatrix<T>& m) {
 }  // namespace
 
 template <Real T>
-std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m,
-                                        const CpuCodeletOptions& opts) {
-  return generate_cpu(make_meta(m), opts);
+std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m) {
+  return generate_cpu(make_meta(m));
 }
 
 template <Real T>
-std::string generate_cpu_spmm_codelet_source(const CrsdMatrix<T>& m,
-                                             const CpuSpmmCodeletOptions& opts) {
-  return generate_cpu_spmm(make_meta(m), opts);
+std::string generate_cpu_spmm_codelet_source(const CrsdMatrix<T>& m) {
+  return generate_cpu_spmm(make_meta(m));
 }
 
 template <Real T>
@@ -1067,13 +1048,13 @@ template std::string generate_gpu_codelet_source<float>(
     const CrsdMatrix<float>&, const GpuCodeletOptions&);
 
 template std::string generate_cpu_codelet_source<double>(
-    const CrsdMatrix<double>&, const CpuCodeletOptions&);
+    const CrsdMatrix<double>&);
 template std::string generate_cpu_codelet_source<float>(
-    const CrsdMatrix<float>&, const CpuCodeletOptions&);
+    const CrsdMatrix<float>&);
 template std::string generate_cpu_spmm_codelet_source<double>(
-    const CrsdMatrix<double>&, const CpuSpmmCodeletOptions&);
+    const CrsdMatrix<double>&);
 template std::string generate_cpu_spmm_codelet_source<float>(
-    const CrsdMatrix<float>&, const CpuSpmmCodeletOptions&);
+    const CrsdMatrix<float>&);
 template std::string generate_opencl_kernel_source<double>(
     const CrsdMatrix<double>&, const OpenClCodeletOptions&);
 template std::string generate_opencl_kernel_source<float>(

@@ -13,67 +13,65 @@
 //    AD groups, barriers) — the artifact the paper's code generator emits.
 #pragma once
 
+#include <array>
 #include <string>
-#include <vector>
 
 #include "core/crsd_matrix.hpp"
 
 namespace crsd::codegen {
 
-/// Options for the CPU codelet generator.
-struct CpuCodeletOptions {
-  /// Symbol prefix; the generated functions are
-  ///   <prefix>_diag(const T* dia_val, const T* x, T* y,
-  ///                 int32_t seg_begin, int32_t seg_end)
-  ///   <prefix>_scatter(const T* scatter_val, const int32_t* scatter_col,
-  ///                    const int32_t* scatter_rowno, const T* x, T* y,
-  ///                    int32_t row_begin, int32_t row_end)
-  /// with T = double or float depending on the matrix's precision. Both
-  /// phases take a range so callers can partition them across threads.
-  /// The diagonal phase carries the same interior/edge split as the
-  /// interpreted engine: clamp-free restrict-qualified lane-innermost
-  /// loops with constant trip counts for interior segments, the clamped
-  /// scalar path for edge segments.
-  std::string symbol_prefix = "crsd_codelet";
-};
+/// Symbol stem of the CPU SpMV codelet. The generated functions are
+///   crsd_codelet_diag(const T* dia_val, const T* x, T* y,
+///                     int32_t seg_begin, int32_t seg_end)
+///   crsd_codelet_scatter(const T* scatter_val, const int32_t* scatter_col,
+///                        const int32_t* scatter_rowno, const T* x, T* y,
+///                        int32_t row_begin, int32_t row_end)
+/// with T = double or float depending on the matrix's precision. Both
+/// phases take a range so callers can partition them across threads. The
+/// diagonal phase carries the same interior/edge split as the interpreted
+/// engine: clamp-free restrict-qualified lane-innermost loops with constant
+/// trip counts for interior segments, the clamped scalar path for edge
+/// segments.
+inline constexpr const char* kCpuCodeletSymbol = "crsd_codelet";
+
+/// Symbol stem of the CPU SpMM codelet. For every register-block size R in
+/// kSpmmRhsBlocks the translation unit exports
+///   crsd_spmm_codelet_r<R>_diag(const T* dia_val, const T* x, T* y,
+///                               int64_t ldx, int64_t ldy,
+///                               int32_t seg_begin, int32_t seg_end)
+///   crsd_spmm_codelet_r<R>_scatter(const T* scatter_val,
+///                                  const int32_t* scatter_col,
+///                                  const int32_t* scatter_rowno,
+///                                  const T* x, T* y, int64_t ldx,
+///                                  int64_t ldy, int32_t row_begin,
+///                                  int32_t row_end)
+/// processing exactly R column-major right-hand sides (x column j at
+/// x + j*ldx, y column j at y + j*ldy). The RHS count is baked: the
+/// interior loop carries R scalar accumulators so one diagonal-value load
+/// feeds R fused multiply-adds, and the per-diagonal unroll matches the
+/// single-vector codelet.
+inline constexpr const char* kCpuSpmmCodeletSymbol = "crsd_spmm_codelet";
+/// Register-block sizes of the SpMM codelet, widest first: any batch width
+/// k is covered by dispatching blocks of 8/4/2/1.
+inline constexpr std::array<int, 4> kSpmmRhsBlocks{8, 4, 2, 1};
+
+/// Symbol stem of the simulated-GPU codelet (see
+/// generate_gpu_codelet_source).
+inline constexpr const char* kGpuCodeletSymbol = "crsd_gpu_codelet";
 
 /// Emits a self-contained C++ translation unit implementing SpMV for the
 /// structure of `m`. The value/scatter arrays are passed by pointer, so one
 /// codelet serves any matrix with identical structure.
 template <Real T>
-std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m,
-                                        const CpuCodeletOptions& opts = {});
-
-/// Options for the CPU SpMM (multi-vector) codelet generator.
-struct CpuSpmmCodeletOptions {
-  /// Base symbol prefix. For every register-block size R in `rhs_blocks`
-  /// the translation unit exports
-  ///   <prefix>_r<R>_diag(const T* dia_val, const T* x, T* y,
-  ///                      int64_t ldx, int64_t ldy,
-  ///                      int32_t seg_begin, int32_t seg_end)
-  ///   <prefix>_r<R>_scatter(const T* scatter_val, const int32_t* scatter_col,
-  ///                         const int32_t* scatter_rowno, const T* x, T* y,
-  ///                         int64_t ldx, int64_t ldy,
-  ///                         int32_t row_begin, int32_t row_end)
-  /// processing exactly R column-major right-hand sides (x column j at
-  /// x + j*ldx, y column j at y + j*ldy). The RHS count is baked: the
-  /// interior loop carries R scalar accumulators so one diagonal-value load
-  /// feeds R fused multiply-adds, and the per-diagonal unroll matches the
-  /// single-vector codelet. Any batch width k is covered by dispatching
-  /// blocks of 8/4/2/1.
-  std::string symbol_prefix = "crsd_spmm_codelet";
-  std::vector<int> rhs_blocks = {8, 4, 2, 1};
-};
+std::string generate_cpu_codelet_source(const CrsdMatrix<T>& m);
 
 /// Emits a self-contained C++ translation unit implementing batched SpMM
-/// (one variant per requested register-block size) for the structure of `m`.
+/// (one variant per kSpmmRhsBlocks size) for the structure of `m`.
 template <Real T>
-std::string generate_cpu_spmm_codelet_source(
-    const CrsdMatrix<T>& m, const CpuSpmmCodeletOptions& opts = {});
+std::string generate_cpu_spmm_codelet_source(const CrsdMatrix<T>& m);
 
 /// Options for the simulated-GPU codelet generator.
 struct GpuCodeletOptions {
-  std::string symbol_prefix = "crsd_gpu_codelet";
   /// Stage AD-group x windows through (modeled) local memory.
   bool use_local_memory = true;
 };
@@ -84,8 +82,8 @@ struct GpuCodeletOptions {
 /// the memory events of the equivalent OpenCL kernel, so a compiled codelet
 /// can replace the interpreted kernel on the simulated device — the paper's
 /// full runtime-compilation pipeline. Two symbols are produced:
-///   <prefix>_group(dia_val, x, y, group_id, hooks)    — diagonal phase
-///   <prefix>_scatter_group(sval, scol, srow, x, y, group_id, hooks)
+///   crsd_gpu_codelet_group(dia_val, x, y, group_id, hooks) — diagonal phase
+///   crsd_gpu_codelet_scatter_group(sval, scol, srow, x, y, group_id, hooks)
 template <Real T>
 std::string generate_gpu_codelet_source(const CrsdMatrix<T>& m,
                                         const GpuCodeletOptions& opts = {});

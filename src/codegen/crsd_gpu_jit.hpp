@@ -31,20 +31,17 @@ class CrsdGpuJitKernel {
                              const CrsdGpuHooks*);
 
   CrsdGpuJitKernel(const CrsdMatrix<T>& m, JitCompiler& compiler,
-                   GpuCodeletOptions opts = {})
-      : CrsdGpuJitKernel(generate_gpu_codelet_source(m, opts), compiler,
-                         opts) {}
+                   const GpuCodeletOptions& opts = {})
+      : CrsdGpuJitKernel(generate_gpu_codelet_source(m, opts), compiler) {}
 
   /// Compiles caller-supplied codelet source (the checked factory path; also
-  /// lets tests inject faults). The source must export the two entry points
-  /// named by `opts.symbol_prefix`.
-  CrsdGpuJitKernel(std::string source, JitCompiler& compiler,
-                   GpuCodeletOptions opts = {})
-      : opts_(std::move(opts)), source_(std::move(source)) {
+  /// lets tests inject faults). The source must export the two
+  /// kGpuCodeletSymbol entry points.
+  CrsdGpuJitKernel(std::string source, JitCompiler& compiler)
+      : source_(std::move(source)) {
     lib_ = compiler.compile_and_load(source_);
-    group_ = lib_.template symbol_as<GroupFn>(opts_.symbol_prefix + "_group");
-    scatter_ = lib_.template symbol_as<ScatterFn>(opts_.symbol_prefix +
-                                                  "_scatter_group");
+    group_ = lib_.template symbol_as<GroupFn>(group_symbol());
+    scatter_ = lib_.template symbol_as<ScatterFn>(scatter_symbol());
   }
 
   const std::string& source() const { return source_; }
@@ -76,7 +73,7 @@ class CrsdGpuJitKernel {
     diag_cfg.num_groups = m.num_segments_total();
     diag_cfg.group_size = mrows;
     diag_cfg.double_precision = std::is_same_v<T, double>;
-    diag_cfg.kernel_name = opts_.symbol_prefix + "_group";
+    diag_cfg.kernel_name = group_symbol();
     diag_cfg.checker = checker;
 
     auto diag_body = [&](gpusim::WorkGroupCtx& ctx) {
@@ -94,7 +91,7 @@ class CrsdGpuJitKernel {
       scatter_cfg.num_groups = (nsr + mrows - 1) / mrows;
       scatter_cfg.double_precision = diag_cfg.double_precision;
       scatter_cfg.launches = 0;  // fused with the diagonal phase
-      scatter_cfg.kernel_name = opts_.symbol_prefix + "_scatter_group";
+      scatter_cfg.kernel_name = scatter_symbol();
       scatter_cfg.checker = checker;
       auto scatter_body = [&](gpusim::WorkGroupCtx& ctx) {
         HookCtx hctx{&ctx, bufs.data()};
@@ -159,7 +156,13 @@ class CrsdGpuJitKernel {
     return hooks;
   }
 
-  GpuCodeletOptions opts_;
+  static std::string group_symbol() {
+    return std::string(kGpuCodeletSymbol) + "_group";
+  }
+  static std::string scatter_symbol() {
+    return std::string(kGpuCodeletSymbol) + "_scatter_group";
+  }
+
   std::string source_;
   JitLibrary lib_;
   GroupFn group_ = nullptr;
@@ -189,7 +192,7 @@ std::optional<CrsdGpuJitKernel<T>> make_gpu_jit_kernel(
                            : generate_gpu_codelet_source(m, opts);
   if (checked == Checked::kYes) {
     const std::vector<check::Diagnostic> findings =
-        lint_gpu_codelet_source(m, source, opts.symbol_prefix);
+        lint_gpu_codelet_source(m, source);
     if (!findings.empty()) {
       CRSD_LOG_WARN("GPU codelet lint rejected generated source; falling "
                     "back to the interpreted kernel:\n"
@@ -198,7 +201,7 @@ std::optional<CrsdGpuJitKernel<T>> make_gpu_jit_kernel(
     }
   }
   return std::optional<CrsdGpuJitKernel<T>>(
-      CrsdGpuJitKernel<T>(std::move(source), compiler, std::move(opts)));
+      CrsdGpuJitKernel<T>(std::move(source), compiler));
 }
 
 }  // namespace crsd::codegen

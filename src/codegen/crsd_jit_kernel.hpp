@@ -44,20 +44,23 @@ class CrsdJitKernel {
 
   /// Compiles caller-supplied codelet source for `m`'s structure (the
   /// checked factory path, which lints the source first; also lets tests
-  /// inject faults). The source must export crsd_codelet_{diag,scatter}.
+  /// inject faults). The source must export the kCpuCodeletSymbol entry
+  /// points crsd_codelet_{diag,scatter}.
   CrsdJitKernel(const CrsdMatrix<T>& m, JitCompiler& compiler,
                 std::string source)
       : source_(std::move(source)) {
     lib_ = compiler.compile_and_load(source_);
     raw_abi_ = m.value_precision() != ValuePrecision::kNative ||
                m.scatter_index_mode() != ScatterIndexMode::kIndex32;
+    const std::string diag_sym = std::string(kCpuCodeletSymbol) + "_diag";
+    const std::string scatter_sym =
+        std::string(kCpuCodeletSymbol) + "_scatter";
     if (raw_abi_) {
-      raw_diag_ = lib_.template symbol_as<RawDiagFn>("crsd_codelet_diag");
-      raw_scatter_ =
-          lib_.template symbol_as<RawScatterFn>("crsd_codelet_scatter");
+      raw_diag_ = lib_.template symbol_as<RawDiagFn>(diag_sym);
+      raw_scatter_ = lib_.template symbol_as<RawScatterFn>(scatter_sym);
     } else {
-      diag_ = lib_.template symbol_as<DiagFn>("crsd_codelet_diag");
-      scatter_ = lib_.template symbol_as<ScatterFn>("crsd_codelet_scatter");
+      diag_ = lib_.template symbol_as<DiagFn>(diag_sym);
+      scatter_ = lib_.template symbol_as<ScatterFn>(scatter_sym);
     }
     num_segments_ = m.num_segments_total();
     num_scatter_rows_ = m.num_scatter_rows();
@@ -168,14 +171,13 @@ class CrsdJitSpmmKernel {
                              const std::int32_t*, const T*, T*, std::int64_t,
                              std::int64_t, std::int32_t, std::int32_t);
 
-  static constexpr std::array<int, 4> kBlocks{8, 4, 2, 1};
-
   /// Generates and compiles the SpMM codelet for `m`'s structure.
   explicit CrsdJitSpmmKernel(const CrsdMatrix<T>& m, JitCompiler& compiler)
       : CrsdJitSpmmKernel(m, compiler, generate_cpu_spmm_codelet_source(m)) {}
 
   /// Compiles caller-supplied SpMM codelet source (the checked factory /
-  /// fault-injection path). Must export crsd_spmm_codelet_r{8,4,2,1}_*.
+  /// fault-injection path). Must export crsd_spmm_codelet_r{8,4,2,1}_*
+  /// (kCpuSpmmCodeletSymbol, kSpmmRhsBlocks).
   CrsdJitSpmmKernel(const CrsdMatrix<T>& m, JitCompiler& compiler,
                     std::string source)
       : source_(std::move(source)) {
@@ -184,9 +186,9 @@ class CrsdJitSpmmKernel {
                    "the SpMM codelet supports native storage only; "
                    "rebuild without storage compaction for batched SpMM");
     lib_ = compiler.compile_and_load(source_);
-    for (std::size_t bi = 0; bi < kBlocks.size(); ++bi) {
-      const std::string stem =
-          "crsd_spmm_codelet_r" + std::to_string(kBlocks[bi]);
+    for (std::size_t bi = 0; bi < kSpmmRhsBlocks.size(); ++bi) {
+      const std::string stem = std::string(kCpuSpmmCodeletSymbol) + "_r" +
+                               std::to_string(kSpmmRhsBlocks[bi]);
       diag_[bi] = lib_.template symbol_as<DiagFn>(stem + "_diag");
       scatter_[bi] = lib_.template symbol_as<ScatterFn>(stem + "_scatter");
     }
@@ -205,7 +207,7 @@ class CrsdJitSpmmKernel {
     index_t j = 0;
     while (j < k) {
       std::size_t bi = 0;
-      while (kBlocks[bi] > k - j) ++bi;
+      while (kSpmmRhsBlocks[bi] > k - j) ++bi;
       const T* xb = x + static_cast<size64_t>(j) * ldx;
       T* yb = y + static_cast<size64_t>(j) * ldy;
       diag_[bi](m.dia_values().data(), xb, yb,
@@ -215,15 +217,15 @@ class CrsdJitSpmmKernel {
                    m.scatter_rows().data(), xb, yb,
                    static_cast<std::int64_t>(ldx),
                    static_cast<std::int64_t>(ldy), 0, num_scatter_rows_);
-      j += kBlocks[bi];
+      j += kSpmmRhsBlocks[bi];
     }
   }
 
  private:
   std::string source_;
   JitLibrary lib_;
-  std::array<DiagFn, 4> diag_{};
-  std::array<ScatterFn, 4> scatter_{};
+  std::array<DiagFn, kSpmmRhsBlocks.size()> diag_{};
+  std::array<ScatterFn, kSpmmRhsBlocks.size()> scatter_{};
   index_t num_segments_ = 0;
   index_t num_scatter_rows_ = 0;
 };
@@ -277,10 +279,8 @@ std::optional<CrsdJitSpmmKernel<T>> make_jit_spmm_kernel(
                            ? *source_override
                            : generate_cpu_spmm_codelet_source(m);
   if (checked == Checked::kYes) {
-    const std::vector<int> blocks(CrsdJitSpmmKernel<T>::kBlocks.begin(),
-                                  CrsdJitSpmmKernel<T>::kBlocks.end());
     const std::vector<check::Diagnostic> findings =
-        lint_cpu_spmm_codelet_source(m, source, blocks);
+        lint_cpu_spmm_codelet_source(m, source);
     if (!findings.empty()) {
       CRSD_LOG_WARN("SpMM codelet lint rejected generated source; falling "
                     "back to the interpreted SpMM engine:\n"

@@ -86,9 +86,8 @@ class ThreadPool {
   /// part_end(i), i) with no per-call slicing. Part 0 runs on the calling
   /// thread; empty parts are skipped without dispatch. The part index is
   /// passed as the thread id, so a plan with num_parts() == num_threads()
-  /// gives each thread a stable range across replays (NUMA first-touch
-  /// affinity relies on this). Blocking/exception semantics match
-  /// parallel_for.
+  /// gives each thread a stable range across replays. Blocking/exception
+  /// semantics match parallel_for.
   void parallel_for(const ParallelPlan& plan,
                     const std::function<void(index_t, index_t, int)>& fn);
 

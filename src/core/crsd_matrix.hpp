@@ -30,7 +30,6 @@
 #include "common/error.hpp"
 #include "common/half.hpp"
 #include "common/simd.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/pattern.hpp"
 #include "core/storage_mode.hpp"
@@ -428,25 +427,6 @@ class CrsdMatrix {
     spmv_scatter(0, num_scatter_rows(), x, y);
   }
 
-  /// y = A*x on `pool`: segments are dealt out in chunks small enough to
-  /// load-balance patterns with different diagonal counts (each segment's
-  /// rows are still written by exactly one thread), then the scatter rows
-  /// are spread over the pool too (each scatter row has one writer).
-  void spmv_parallel(ThreadPool& pool, const T* x, T* y) const {
-    const index_t segs = num_segments_total();
-    const index_t chunk =
-        std::max<index_t>(1, segs / (8 * static_cast<index_t>(
-                                             pool.num_threads())));
-    pool.parallel_for_chunked(0, segs, chunk,
-                              [&](index_t sb, index_t se, int) {
-                                spmv_segments_vec(sb, se, x, y);
-                              });
-    pool.parallel_for(0, num_scatter_rows(),
-                      [&](index_t b, index_t e, int) {
-                        spmv_scatter(b, e, x, y);
-                      });
-  }
-
   /// Diagonal phase for global segments [seg_begin, seg_end) — the CPU
   /// analogue of one work-group per segment. Dispatches on the active
   /// value stream; compacted streams accumulate in double.
@@ -473,7 +453,7 @@ class CrsdMatrix {
                          T* y) const {
     // AD-group x staging buffer — the CPU analogue of the paper's local-
     // memory window (§III): one contiguous copy serves every diagonal of
-    // the group. Allocated once per call (i.e. once per parallel chunk).
+    // the group. Allocated once per call.
     std::vector<T> xbuf(static_cast<std::size_t>(stage_window_));
     // Widened per-segment accumulator for the compacted value streams
     // (unused in native mode, where y itself is the accumulator).
@@ -494,6 +474,29 @@ class CrsdMatrix {
       spmv_segments(ie, g1, x, y);
     }
   }
+
+  /// Clamp-free lane-innermost kernel for interior segments [g0, g1) of
+  /// pattern `p`, dispatched on the active value stream — the single
+  /// interior body behind spmv() and the plan executor's one-vector blocks.
+  /// `xbuf` must hold stage_window() elements; `acc` must hold mrows doubles
+  /// in the compacted modes (unused, and may be null, in native mode).
+  void spmv_pattern_interior(index_t p, index_t g0, index_t g1, const T* x,
+                             T* y, T* xbuf, double* acc) const {
+    switch (s_.value_precision) {
+      case ValuePrecision::kNative:
+        return spmv_pattern_interior_impl<T>(s_.dia_val.data(), p, g0, g1, x,
+                                             y, xbuf, acc);
+      case ValuePrecision::kFloat32:
+        return spmv_pattern_interior_impl<float>(s_.dia_val_f32.data(), p, g0,
+                                                 g1, x, y, xbuf, acc);
+      case ValuePrecision::kFloat16:
+        return spmv_pattern_interior_impl<half_t>(s_.dia_val_f16.data(), p, g0,
+                                                  g1, x, y, xbuf, acc);
+    }
+  }
+
+  /// AD-group staging buffer size spmv_pattern_interior needs (elements).
+  index_t stage_window() const { return stage_window_; }
 
   /// Interior range of pattern `p` (global segment ids) where the clamp-free
   /// kernel applies; exposed for the code generator and tests.
@@ -741,25 +744,6 @@ class CrsdMatrix {
     }
   }
 
-  /// Clamp-free lane-innermost kernel for interior segments [g0, g1) of
-  /// pattern `p`, dispatched on the active value stream. `xbuf` must hold at
-  /// least mrows + max_adjacent_width - 1 elements; `acc` must hold mrows
-  /// doubles in the compacted modes (unused in native mode).
-  void spmv_pattern_interior(index_t p, index_t g0, index_t g1, const T* x,
-                             T* y, T* xbuf, double* acc) const {
-    switch (s_.value_precision) {
-      case ValuePrecision::kNative:
-        return spmv_pattern_interior_impl<T>(s_.dia_val.data(), p, g0, g1, x,
-                                             y, xbuf, acc);
-      case ValuePrecision::kFloat32:
-        return spmv_pattern_interior_impl<float>(s_.dia_val_f32.data(), p, g0,
-                                                 g1, x, y, xbuf, acc);
-      case ValuePrecision::kFloat16:
-        return spmv_pattern_interior_impl<half_t>(s_.dia_val_f16.data(), p, g0,
-                                                  g1, x, y, xbuf, acc);
-    }
-  }
-
   /// Interior kernel body. Native mode (VT == T) accumulates directly into
   /// y via simd::axpy_lanes — the historical bitwise-reproducible path.
   /// Compacted streams accumulate each segment into the double buffer via
@@ -830,7 +814,7 @@ class CrsdMatrix {
   std::vector<index_t> cum_segments_;
   std::vector<size64_t> pattern_val_offset_;
   std::vector<SegmentInterior> interior_;  ///< per pattern, global seg ids
-  index_t stage_window_ = 0;  ///< AD staging buffer size the engine needs
+  index_t stage_window_ = 0;  ///< AD staging buffer size, see stage_window()
 };
 
 }  // namespace crsd

@@ -7,23 +7,20 @@
 // from. ExecPlan walks the matrix once and freezes all of those decisions
 // into an immutable plan:
 //
-//  * per-pattern segment runs (edge / interior) with a cost estimate from
-//    the perf roofline model (perf/cpu_model.hpp), ordered most-expensive
-//    first within each thread slice;
-//  * a static thread partition balanced on that cost estimate, replayable
-//    through ThreadPool's ParallelPlan overload with a stable part->thread
-//    mapping (so NUMA first-touch pages stay local across iterations);
+//  * per-pattern segment runs (edge / interior) in segment order;
+//  * a static thread partition balanced on a per-segment cost estimate from
+//    the perf roofline model (perf/cpu_model.hpp), replayable through
+//    ThreadPool's ParallelPlan overload with a stable part->thread mapping;
 //  * precomputed x-window extents: for every diagonal, whether it reads a
 //    staged AD-group window (and at which arena offset) or the raw x
 //    stream (and at which column shift) — the executor's inner loop makes
 //    no grouping decisions;
 //  * software-prefetch distances for the diagonal value stream.
 //
-// The executor (kernels/cpu_spmm.hpp and the JIT SpMM codelets) replays a
-// plan every iteration. Plans are structure-bound: update_values /
-// replace_values keep them valid (values change, structure does not); any
-// rebuild of the matrix requires a new plan, enforced by a structure
-// signature checked on entry.
+// The executor (SpmmEngine, kernels/cpu_spmm.hpp) replays a plan every
+// iteration. Plans are structure-bound: update_values / replace_values keep
+// them valid (values change, structure does not); any rebuild of the matrix
+// requires a new plan, enforced by a structure signature checked on entry.
 #pragma once
 
 #include <algorithm>
@@ -48,12 +45,13 @@ struct ExecPlanOptions {
   int num_threads = 1;
   /// Host model used for the cost estimate (bandwidth/flop roofline).
   perf::CpuSystemSpec system;
-  /// Edge segments run the clamped scalar path; weight them a little
-  /// heavier than the same traffic through the SIMD interior kernel.
-  double edge_cost_factor = 1.5;
-  /// Bytes of the diagonal value stream to prefetch ahead per segment.
-  size64_t prefetch_bytes = 512;
 };
+
+/// Edge segments run the clamped scalar path; the partition weights them a
+/// little heavier than the same traffic through the SIMD interior kernel.
+inline constexpr double kEdgeCostFactor = 1.5;
+/// Bytes of the diagonal value stream prefetched ahead per segment.
+inline constexpr size64_t kPrefetchBytes = 512;
 
 /// Where one diagonal of a pattern reads x in the interior kernel — either
 /// a staged AD-group window (arena-relative) or the raw x stream (column-
@@ -71,8 +69,6 @@ struct PatternPlan {
   std::vector<DiagSource> diag_src;  ///< one entry per diagonal, in order
   index_t arena_elems = 0;     ///< staging arena elements per right-hand side
   index_t prefetch_lines = 0;  ///< 64-byte lines of the next segment's values
-  double interior_seg_cost = 0.0;  ///< est. seconds per interior segment
-  double edge_seg_cost = 0.0;      ///< est. seconds per edge segment
 };
 
 /// One contiguous run of segments of a single pattern, one execution kind.
@@ -81,17 +77,15 @@ struct PlanStep {
   index_t seg_begin = 0;  ///< global segment ids
   index_t seg_end = 0;
   bool interior = false;  ///< clamp-free SIMD kernel applies
-  double cost = 0.0;      ///< estimated seconds for the whole run
 };
 
 /// Everything one thread executes per sweep.
 struct ThreadSlice {
-  std::vector<PlanStep> steps;  ///< ordered by descending cost
+  std::vector<PlanStep> steps;  ///< in ascending segment order
   index_t scatter_begin = 0;    ///< scatter-row indices this thread owns
   index_t scatter_end = 0;
   index_t row_begin = 0;  ///< y rows this thread writes in the diagonal phase
   index_t row_end = 0;
-  double cost = 0.0;  ///< estimated seconds (diagonal phase)
 };
 
 template <Real T>
@@ -104,8 +98,6 @@ class ExecPlan {
                           const ExecPlanOptions& opts = {}) {
     CRSD_CHECK_MSG(opts.num_threads >= 1, "plan needs >= 1 thread");
     ExecPlan plan;
-    plan.num_rows_ = m.num_rows();
-    plan.num_cols_ = m.num_cols();
     plan.signature_ = structure_signature(m);
     const index_t mrows = m.mrows();
     const index_t segs = m.num_segments_total();
@@ -113,10 +105,12 @@ class ExecPlan {
     const int vb = static_cast<int>(sizeof(T));
     constexpr bool kDouble = std::is_same_v<T, double>;
 
-    // Per-pattern metadata: x sources, staging arena layout, prefetch
-    // distance, per-segment cost.
+    // Per-pattern metadata (x sources, staging arena layout, prefetch
+    // distance) and the per-segment cost the partition balances.
     plan.patterns_.reserve(m.patterns().size());
-    for (const auto& pat : m.patterns()) {
+    std::vector<double> seg_cost(static_cast<std::size_t>(segs));
+    for (std::size_t pi = 0; pi < m.patterns().size(); ++pi) {
+      const auto& pat = m.patterns()[pi];
       PatternPlan pp;
       pp.diag_src.resize(static_cast<std::size_t>(pat.num_diagonals()));
       for (const auto& grp : pat.groups) {
@@ -142,37 +136,29 @@ class ExecPlan {
       const size64_t seg_bytes =
           pat.slots_per_segment(mrows) * static_cast<size64_t>(vb);
       pp.prefetch_lines = static_cast<index_t>(
-          std::min<size64_t>(seg_bytes, opts.prefetch_bytes) / 64);
-      const perf::SweepCost cost =
-          perf::pattern_segment_cost(pat, mrows, vb);
-      pp.interior_seg_cost =
-          perf::roofline_seconds(opts.system, cost, 1, kDouble);
-      pp.edge_seg_cost = pp.interior_seg_cost * opts.edge_cost_factor;
+          std::min<size64_t>(seg_bytes, kPrefetchBytes) / 64);
+      plan.max_arena_elems_ = std::max(plan.max_arena_elems_, pp.arena_elems);
       plan.patterns_.push_back(std::move(pp));
-      plan.max_arena_elems_ =
-          std::max(plan.max_arena_elems_, plan.patterns_.back().arena_elems);
+
+      const double interior_cost = perf::roofline_seconds(
+          opts.system, perf::pattern_segment_cost(pat, mrows, vb), 1, kDouble);
+      const SegmentInterior in = m.interior_segments(static_cast<index_t>(pi));
+      for (index_t g = m.cum_segments()[pi]; g < m.cum_segments()[pi + 1];
+           ++g) {
+        const bool interior = g >= in.begin && g < in.end;
+        seg_cost[static_cast<std::size_t>(g)] =
+            interior ? interior_cost : interior_cost * kEdgeCostFactor;
+      }
     }
 
     // Cost-balanced static partition of the global segment range.
-    std::vector<double> seg_cost(static_cast<std::size_t>(segs));
-    for (std::size_t pi = 0; pi < m.patterns().size(); ++pi) {
-      const index_t s0 = m.cum_segments()[pi];
-      const index_t s1 = m.cum_segments()[pi + 1];
-      const SegmentInterior in = m.interior_segments(static_cast<index_t>(pi));
-      for (index_t g = s0; g < s1; ++g) {
-        const bool interior = g >= in.begin && g < in.end;
-        seg_cost[static_cast<std::size_t>(g)] =
-            interior ? plan.patterns_[pi].interior_seg_cost
-                     : plan.patterns_[pi].edge_seg_cost;
-      }
-    }
     const ParallelPlan seg_parts =
         ParallelPlan::weighted_partition(0, segs, threads, seg_cost);
     const ParallelPlan scatter_parts =
         ParallelPlan::static_partition(0, m.num_scatter_rows(), threads);
 
     // Materialize per-thread slices: intersect each part with the pattern
-    // interior/edge runs, then order the steps most-expensive first.
+    // interior/edge runs.
     plan.slices_.resize(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       ThreadSlice& slice = plan.slices_[static_cast<std::size_t>(t)];
@@ -193,14 +179,10 @@ class ExecPlan {
             m.interior_segments(static_cast<index_t>(pi));
         const index_t ib = std::clamp(in.begin, s0, s1);
         const index_t ie = std::clamp(in.end, ib, s1);
-        plan.push_step(slice, static_cast<index_t>(pi), s0, ib, false);
-        plan.push_step(slice, static_cast<index_t>(pi), ib, ie, true);
-        plan.push_step(slice, static_cast<index_t>(pi), ie, s1, false);
+        push_step(slice, static_cast<index_t>(pi), s0, ib, false);
+        push_step(slice, static_cast<index_t>(pi), ib, ie, true);
+        push_step(slice, static_cast<index_t>(pi), ie, s1, false);
       }
-      std::stable_sort(slice.steps.begin(), slice.steps.end(),
-                       [](const PlanStep& a, const PlanStep& b) {
-                         return a.cost > b.cost;
-                       });
     }
     plan.thread_plan_ = ParallelPlan::static_partition(0, threads, threads);
     return plan;
@@ -232,22 +214,6 @@ class ExecPlan {
                    "ExecPlan::inspect after rebuilding");
   }
 
-  /// NUMA first-touch initialization: each thread zeroes the y rows it will
-  /// later write, for `k` column-major vectors with leading dimension
-  /// `ldy`, so first access (page placement) happens on the owning thread.
-  void first_touch(ThreadPool& pool, T* y, index_t k, size64_t ldy) const {
-    pool.parallel_for(thread_plan_, [&](index_t t, index_t, int) {
-      const ThreadSlice& s = slices_[static_cast<std::size_t>(t)];
-      for (index_t j = 0; j < k; ++j) {
-        T* col = y + static_cast<size64_t>(j) * ldy;
-        std::fill(col + s.row_begin, col + s.row_end, T(0));
-      }
-      // Scatter rows may live outside this thread's contiguous row block;
-      // touch them from their writer too.
-      (void)s;
-    });
-  }
-
   /// Structure fingerprint used for plan invalidation.
   static std::uint64_t structure_signature(const CrsdMatrix<T>& m) {
     std::string buf;
@@ -271,23 +237,11 @@ class ExecPlan {
   }
 
  private:
-  void push_step(ThreadSlice& slice, index_t p, index_t b, index_t e,
-                 bool interior) {
-    if (b >= e) return;
-    const PatternPlan& pp = patterns_[static_cast<std::size_t>(p)];
-    PlanStep step;
-    step.pattern = p;
-    step.seg_begin = b;
-    step.seg_end = e;
-    step.interior = interior;
-    step.cost = double(e - b) *
-                (interior ? pp.interior_seg_cost : pp.edge_seg_cost);
-    slice.steps.push_back(step);
-    slice.cost += step.cost;
+  static void push_step(ThreadSlice& slice, index_t p, index_t b, index_t e,
+                        bool interior) {
+    if (b < e) slice.steps.push_back({p, b, e, interior});
   }
 
-  index_t num_rows_ = 0;
-  index_t num_cols_ = 0;
   std::uint64_t signature_ = 0;
   std::vector<PatternPlan> patterns_;
   std::vector<ThreadSlice> slices_;

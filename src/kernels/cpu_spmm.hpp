@@ -4,12 +4,16 @@
 // segment runs, thread slices, staging-arena layout, per-diagonal x sources
 // and prefetch distances all come out of the plan.
 //
-// The interior kernel register-blocks the right-hand sides (R in {8,4,2,1})
+// The interior kernel register-blocks the right-hand sides (R in {8,4,2})
 // so one pass over the diagonal value stream feeds R accumulators: the
 // value load and the y traffic amortize over R vectors, which is where the
 // SpMM speedup over k independent SpMV sweeps comes from. AD-group x
 // windows are staged once per segment per block of vectors, exactly like
-// the single-vector engine stages them per segment.
+// the single-vector engine stages them per segment. A single remaining
+// vector runs the matrix's own kernels (spmv_pattern_interior for interior
+// steps, spmv_segments for edge steps): with no columns to amortize over,
+// the single-vector body is the one to use, and keeping one copy of it
+// keeps k = 1 and spmv() on the same code.
 //
 // Parity contract: for every output element the floating-point operation
 // sequence is `mul` for the pattern's first diagonal then `fmadd` per
@@ -33,10 +37,11 @@ namespace crsd {
 namespace detail {
 
 /// Diagonal phase of one plan step's interior segments for an R-vector
-/// block. `x`/`y` point at column j0 of the batch; `arena` holds R staging
-/// windows per AD group (group-major, vector-minor); `src` is scratch for
-/// ndias*R precomputed source pointers.
+/// block (R >= 2). `x`/`y` point at column j0 of the batch; `arena` holds
+/// R staging windows per AD group (group-major, vector-minor); `src` is
+/// scratch for ndias*R precomputed source pointers.
 template <Real T, int R>
+  requires(R >= 2)
 void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
                         const PlanStep& step, const T* x, size64_t ldx, T* y,
                         size64_t ldy, T* CRSD_RESTRICT arena,
@@ -91,22 +96,6 @@ void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
       }
     }
 
-    // Single-column blocks take the diagonal-major formulation of
-    // spmv_pattern_interior: one two-stream axpy pass per diagonal into the
-    // L1-resident y window. With no columns to amortize over, that beats
-    // the lane-major walk below, whose ndias concurrent source streams are
-    // only worth their register pressure when R accumulators share them.
-    // Operation order per element (mul first diagonal, fmadd the rest in
-    // pattern order) is unchanged, so parity stays bitwise.
-    if constexpr (R == 1) {
-      T* CRSD_RESTRICT yy = y + row0;
-      for (index_t d = 0; d < ndias; ++d) {
-        simd::axpy_lanes(yy, unit + static_cast<size64_t>(d) * mrows, src[d],
-                         mrows, d == 0);
-      }
-      continue;
-    }
-
     index_t lane = 0;
     for (; lane + W <= mrows; lane += W) {
       simd::Vec<T> acc[R];
@@ -141,13 +130,14 @@ void spmm_step_interior(const CrsdMatrix<T>& m, const PatternPlan& pp,
   }
 }
 
-/// Edge segments of one plan step for an R-vector block: the clamped
-/// scalar path of spmv_segments, register-blocked over the right-hand
-/// sides so the clamp arithmetic and the diagonal value load are paid once
-/// per (lane, diagonal) instead of once per column. Each column's
+/// Edge segments of one plan step for an R-vector block (R >= 2): the
+/// clamped scalar path of spmv_segments, register-blocked over the
+/// right-hand sides so the clamp arithmetic and the diagonal value load are
+/// paid once per (lane, diagonal) instead of once per column. Each column's
 /// accumulation (sum = 0, then += in ascending diagonal order) is exactly
 /// the scalar kernel's, so per-column parity stays bitwise.
 template <Real T, int R>
+  requires(R >= 2)
 void spmm_step_edge(const CrsdMatrix<T>& m, const PlanStep& step, const T* x,
                     size64_t ldx, T* y, size64_t ldy) {
   const auto& pat = m.patterns()[static_cast<std::size_t>(step.pattern)];
@@ -202,10 +192,13 @@ class SpmmEngine {
     // One scratch block per plan slice, allocated once: apply() is on the
     // per-sweep hot path and must not touch the allocator (a value-
     // initialized arena costs more than a whole k=1 sweep on small plans).
+    // The arena also serves as the single-vector kernel's staging buffer.
+    const std::size_t arena_elems = std::max<std::size_t>(
+        static_cast<std::size_t>(plan.max_arena_elems()) * kMaxBlock,
+        static_cast<std::size_t>(m.stage_window()));
     scratch_.resize(static_cast<std::size_t>(plan.num_threads()));
     for (auto& s : scratch_) {
-      s.arena.resize(static_cast<std::size_t>(plan.max_arena_elems()) *
-                     kMaxBlock);
+      s.arena.resize(arena_elems);
       s.src.resize(static_cast<std::size_t>(max_ndias) * kMaxBlock);
     }
   }
@@ -253,15 +246,9 @@ class SpmmEngine {
     }
   }
 
-  /// Plan-driven single-vector SpMV: apply() with k == 1.
-  void spmv(ThreadPool& pool, const T* x, T* y) const {
-    apply(pool, x, static_cast<size64_t>(m_->num_cols()), y,
-          static_cast<size64_t>(m_->num_rows()), 1);
-  }
-
  private:
   /// Diagonal phase of one thread slice: right-hand sides in register
-  /// blocks of 8/4/2/1, steps in the plan's (cost-descending) order.
+  /// blocks of 8/4/2/1, steps in the plan's order.
   /// Slice t only ever touches scratch_[t], so the pool threads of one
   /// apply() never share a buffer; two simultaneous apply() calls on the
   /// same engine are not supported.
@@ -297,7 +284,16 @@ class SpmmEngine {
                  size64_t ldy, T* arena, const T** src) const {
     const CrsdMatrix<T>& m = *m_;
     for (const PlanStep& step : slice.steps) {
-      if (step.interior) {
+      if constexpr (R == 1) {
+        // The engine only binds native storage, so the compacted-mode
+        // accumulator is never touched.
+        if (step.interior) {
+          m.spmv_pattern_interior(step.pattern, step.seg_begin, step.seg_end,
+                                  x, y, arena, nullptr);
+        } else {
+          m.spmv_segments(step.seg_begin, step.seg_end, x, y);
+        }
+      } else if (step.interior) {
         detail::spmm_step_interior<T, R>(
             m, plan_->pattern_plan(step.pattern), step, x, ldx, y, ldy, arena,
             src);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,9 +77,17 @@ Coo<double> read_matrix_market(std::istream& in) {
   size_line >> rows >> cols >> entries;
   CRSD_CHECK_MSG(rows >= 0 && cols >= 0 && entries >= 0,
                  "malformed size line: '" << line << "'");
+  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
+  CRSD_CHECK_MSG(rows <= kMaxDim && cols <= kMaxDim,
+                 "matrix dimensions " << rows << " x " << cols
+                                      << " exceed the index range");
 
   Coo<double> a(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  a.reserve(static_cast<size64_t>(entries) *
+  // The header's entry count is untrusted: reserve at most a bounded prefix
+  // and let add() grow past it, so a lying header cannot force a huge
+  // allocation before a single entry has been read.
+  constexpr long long kMaxReserve = 1 << 20;
+  a.reserve(static_cast<size64_t>(std::min(entries, kMaxReserve)) *
             (banner.symmetry == Symmetry::kGeneral ? 1 : 2));
 
   for (long long k = 0; k < entries; ++k) {

@@ -16,6 +16,8 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/build_api.hpp"
+#include "core/exec_plan.hpp"
+#include "kernels/cpu_spmm.hpp"
 #include "matrix/generators.hpp"
 
 namespace crsd {
@@ -113,8 +115,13 @@ TEST_P(VecEngineParity, ScalarVecParallelJitAgree) {
       par(ref.size(), -1);
   m.spmv_scalar(x.data(), scalar.data());
   m.spmv(x.data(), vec.data());
+  // The parallel interpreted path: a 3-slice plan replayed at k = 1.
   ThreadPool pool(3);
-  m.spmv_parallel(pool, x.data(), par.data());
+  ExecPlanOptions plan_opts;
+  plan_opts.num_threads = 3;
+  const auto plan = ExecPlan<double>::inspect(m, plan_opts);
+  const SpmmEngine<double> engine(m, plan);
+  engine.apply(pool, x.data(), x.size(), par.data(), par.size(), 1);
 
   // Engine vs reference: normal FP tolerance.
   expect_ulp_close(scalar, ref, 1e-10, "scalar vs reference");

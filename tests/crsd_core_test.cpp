@@ -9,6 +9,8 @@
 #include "common/rng.hpp"
 #include "core/build_api.hpp"
 #include "core/dump.hpp"
+#include "core/exec_plan.hpp"
+#include "kernels/cpu_spmm.hpp"
 #include "matrix/generators.hpp"
 
 namespace crsd {
@@ -281,11 +283,16 @@ TEST(Builder, ParallelSpmvMatchesSerial) {
   std::vector<double> x(static_cast<std::size_t>(a.num_cols()));
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.next_double(-1, 1);
   std::vector<double> serial(x.size()), parallel(x.size(), -1.0);
-  m.spmv(x.data(), serial.data());
+  m.spmv_scalar(x.data(), serial.data());
+  // The parallel interpreted path: a 4-slice plan replayed at k = 1.
   ThreadPool pool(4);
-  m.spmv_parallel(pool, x.data(), parallel.data());
+  ExecPlanOptions plan_opts;
+  plan_opts.num_threads = 4;
+  const auto plan = ExecPlan<double>::inspect(m, plan_opts);
+  const SpmmEngine<double> engine(m, plan);
+  engine.apply(pool, x.data(), x.size(), parallel.data(), parallel.size(), 1);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(parallel[i], serial[i]);  // identical op order per row
+    EXPECT_EQ(parallel[i], serial[i]) << "row " << i;  // same op order per row
   }
 }
 

@@ -279,30 +279,6 @@ TEST(ExecPlan, ValueUpdateKeepsPlanValidRebuildInvalidates) {
   EXPECT_THROW(SpmmEngine<double>(mb, plan), Error);
 }
 
-TEST(ExecPlan, FirstTouchZeroesOwnedRowsOnly) {
-  const auto a = random_pattern_matrix(180, 8, 33, 0);
-  const auto m = build(a, CrsdConfig{.mrows = 16});
-  ExecPlanOptions opts;
-  opts.num_threads = 2;
-  const auto plan = ExecPlan<double>::inspect(m, opts);
-  ThreadPool pool(2);
-
-  const index_t k = 2;
-  const size64_t ldy = static_cast<size64_t>(m.num_rows()) + 5;  // padded
-  std::vector<double> y(ldy * k, -7.0);
-  plan.first_touch(pool, y.data(), k, ldy);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t r = 0; r < m.num_rows(); ++r) {
-      EXPECT_EQ(y[static_cast<size64_t>(j) * ldy + r], 0.0)
-          << "col " << j << " row " << r;
-    }
-    // Padding between columns is not owned by any thread slice.
-    for (size64_t r = m.num_rows(); r < ldy; ++r) {
-      EXPECT_EQ(y[static_cast<size64_t>(j) * ldy + r], -7.0);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SpmmEngine parity
 
@@ -391,9 +367,10 @@ TEST(SpmmEngine, PlanDrivenSingleVectorMatchesSpmv) {
   const auto x = random_block<double>(m.num_cols(), 1, 17);
   std::vector<double> y(static_cast<std::size_t>(m.num_rows()), -1.0);
   std::vector<double> want(y.size(), -2.0);
-  engine.spmv(pool, x.data(), y.data());
+  engine.apply(pool, x.data(), static_cast<size64_t>(m.num_cols()), y.data(),
+               y.size(), 1);
   m.spmv(x.data(), want.data());
-  expect_bitwise(y, want, "plan-driven spmv vs direct spmv");
+  expect_bitwise(y, want, "plan-driven k=1 apply vs direct spmv");
 }
 
 TEST(SpmmEngine, WideBatchCoversAllRegisterBlocks) {
@@ -454,7 +431,7 @@ TEST(JitSpmm, LintRejectsSourceForDifferentStructure) {
   const auto mb = build(b, CrsdConfig{.mrows = 16});
   const std::string src_a = codegen::generate_cpu_spmm_codelet_source(ma);
   const std::vector<check::Diagnostic> findings =
-      codegen::lint_cpu_spmm_codelet_source(mb, src_a, {8, 4, 2, 1});
+      codegen::lint_cpu_spmm_codelet_source(mb, src_a);
   EXPECT_FALSE(findings.empty())
       << "lint accepted a codelet baked for a different structure";
 }
@@ -464,7 +441,7 @@ TEST(JitSpmm, GeneratedSourcePassesOwnLint) {
   const auto m = build(a, CrsdConfig{.mrows = 64});
   const std::string src = codegen::generate_cpu_spmm_codelet_source(m);
   const std::vector<check::Diagnostic> findings =
-      codegen::lint_cpu_spmm_codelet_source(m, src, {8, 4, 2, 1});
+      codegen::lint_cpu_spmm_codelet_source(m, src);
   EXPECT_TRUE(findings.empty()) << check::format_diagnostics(findings);
 }
 
