@@ -8,7 +8,9 @@
 // simulated device and compares the statically predicted DRAM transactions
 // against the measured counters — the prediction must stay within 10%
 // relative error (it is exact by construction; the gate catches model
-// drift).
+// drift). Every launch is verified together with a 4-thread ExecPlan, and
+// a 4-way plan_shards partition goes through the same row-partition
+// validator, so a finding also covers a broken thread or shard partition.
 //
 // Exit status: 0 when every launch is proven safe and every prediction is
 // inside the gate; 1 otherwise — so CI can run this binary as a gate.
@@ -31,6 +33,7 @@
 #include "gpusim/device.hpp"
 #include "kernels/crsd_gpu.hpp"
 #include "matrix/paper_suite.hpp"
+#include "runtime/shard.hpp"
 
 namespace {
 
@@ -168,7 +171,14 @@ int main(int argc, char** argv) {
       analysis::AnalyzeOptions aopts;
       aopts.use_local_memory = opts.use_local_memory;
       aopts.jit_codelet = opts.jit_codelet;
-      const analysis::AnalysisReport rep = analysis::analyze_crsd_launch(m, aopts);
+      const ExecPlan<double> plan =
+          ExecPlan<double>::inspect(m, {.num_threads = 4});
+      analysis::AnalysisReport rep =
+          analysis::analyze_crsd_launch(m, plan, aopts);
+      const auto shard_diags =
+          rt::validate_shard_partition(m, rt::plan_shards(m, 4));
+      rep.diagnostics.insert(rep.diagnostics.end(), shard_diags.begin(),
+                             shard_diags.end());
 
       Cell c;
       c.id = spec.id;

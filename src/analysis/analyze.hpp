@@ -7,7 +7,8 @@
 //    executing anything: (a) global bounds safety of the value / x / y /
 //    index / scatter streams, including the clamped x block-reads and the
 //    delta-varint byte ranges; (b) y-write race-freedom across work-groups
-//    and across ExecPlan thread slices (disjoint-cover checks); (c) barrier
+//    and across ExecPlan thread slices (the shared row-partition validator,
+//    core/row_partition.hpp, plus each slice's run tiling); (c) barrier
 //    uniformity of the local-memory staging path; (d) local-memory window
 //    fit and read-within-window containment. Everything reported here is a
 //    proof over the model, not an observation of a run: the streams are
@@ -41,6 +42,7 @@
 #include "analysis/launch_model.hpp"
 #include "check/diagnostics.hpp"
 #include "common/types.hpp"
+#include "core/row_partition.hpp"
 #include "core/storage_mode.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/counters.hpp"
@@ -388,46 +390,29 @@ inline std::vector<check::Diagnostic> analyze_model(const LaunchModel& lm) {
 
   // --- ExecPlan thread partition ---------------------------------------
   if (lm.plan.has_value()) {
-    // Each of the three owned ranges (segments, scatter rows, y rows) must
-    // tile its domain exactly: a gap leaves work undone, an overlap means
-    // two threads write the same y rows concurrently.
-    auto check_cover = [&](std::vector<std::array<index_t, 2>> runs,
-                           index_t domain, const char* what) {
-      std::sort(runs.begin(), runs.end());
-      index_t cursor = 0;
-      for (const auto& r : runs) {
-        if (r[0] >= r[1]) continue;  // empty slice
-        if (r[0] != cursor) {
-          std::ostringstream os;
-          os << "ExecPlan " << what << " partition "
-             << (r[0] < cursor ? "overlaps at " : "leaves a gap before ")
-             << r[0] << " (cursor " << cursor << ", domain [0, " << domain
-             << ")): "
-             << (r[0] < cursor ? "two thread slices write the same y rows"
-                               : "some rows are never computed");
-          report(check::Code::kPlanPartition, Buf::kY, -1, os);
-          return;
-        }
-        cursor = r[1];
+    // The slices must be a valid row partition (core/row_partition.hpp):
+    // a gap leaves work undone, an overlap or a scatter row held outside
+    // its slice's rows means two threads write the same y row.
+    const std::vector<SegmentSlice> parts(lm.plan->begin(), lm.plan->end());
+    const auto plan_diags = validate_partition(parts, lm.num_rows, lm.mrows,
+                                               lm.num_segments, sc.rowno);
+    diags.insert(diags.end(), plan_diags.begin(), plan_diags.end());
+    // Each slice's segment runs must tile exactly its own segments.
+    for (std::size_t t = 0; t < lm.plan->size(); ++t) {
+      const PlanSliceModel& s = (*lm.plan)[t];
+      index_t cursor = s.seg_begin;
+      for (const auto& run : s.seg_runs) {
+        if (run[0] != cursor || run[1] < run[0]) break;
+        cursor = run[1];
       }
-      if (cursor != domain) {
+      if (cursor != s.seg_end) {
         std::ostringstream os;
-        os << "ExecPlan " << what << " partition covers [0, " << cursor
-           << ") of [0, " << domain << ")";
+        os << "ExecPlan slice " << t << " runs do not tile its segments ["
+           << s.seg_begin << ", " << s.seg_end << ") (stop at " << cursor
+           << "): it writes rows another slice owns or leaves rows unwritten";
         report(check::Code::kPlanPartition, Buf::kY, -1, os);
       }
-    };
-    std::vector<std::array<index_t, 2>> seg_runs;
-    std::vector<std::array<index_t, 2>> scatter_runs;
-    std::vector<std::array<index_t, 2>> row_runs;
-    for (const PlanSliceModel& s : *lm.plan) {
-      seg_runs.insert(seg_runs.end(), s.seg_runs.begin(), s.seg_runs.end());
-      scatter_runs.push_back({s.scatter_begin, s.scatter_end});
-      row_runs.push_back({s.row_begin, s.row_end});
     }
-    check_cover(std::move(seg_runs), lm.num_segments, "segment");
-    check_cover(std::move(scatter_runs), sc.num_scatter_rows, "scatter-row");
-    check_cover(std::move(row_runs), lm.num_rows, "row");
   }
 
   return diags;

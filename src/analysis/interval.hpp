@@ -48,22 +48,10 @@ struct Interval {
     return o.is_empty() || (!is_empty() && lo <= o.lo && o.hi <= hi);
   }
 
-  bool intersects(const Interval& o) const {
-    return !is_empty() && !o.is_empty() && lo <= o.hi && o.lo <= hi;
-  }
-
   std::string str() const {
     if (is_empty()) return "[]";
     return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
   }
 };
-
-/// Interval of `first + s * stride` for s in [0, iters).
-inline Interval affine_range(std::int64_t first, std::int64_t stride,
-                             std::int64_t iters) {
-  if (iters <= 0) return Interval::empty();
-  const std::int64_t last = first + (iters - 1) * stride;
-  return Interval{std::min(first, last), std::max(first, last)};
-}
 
 }  // namespace crsd::analysis

@@ -113,14 +113,11 @@ struct ScatterModel {
   std::vector<index_t> decoded_col;
 };
 
-/// One ExecPlan thread slice projected onto what the race check needs: the
-/// segment runs it executes and the y-row / scatter-row ranges it writes.
-struct PlanSliceModel {
+/// One ExecPlan thread slice projected onto what the race check needs: its
+/// part of the row partition (segments, scatter rows, y rows) and the
+/// segment runs it executes.
+struct PlanSliceModel : SegmentSlice {
   std::vector<std::array<index_t, 2>> seg_runs;  ///< [begin, end) global ids
-  index_t scatter_begin = 0;
-  index_t scatter_end = 0;
-  index_t row_begin = 0;
-  index_t row_end = 0;
 };
 
 /// The complete abstract launch: geometry, storage-mode widths, buffer
@@ -247,7 +244,7 @@ LaunchModel build_launch_model(const CrsdMatrix<T>& m,
 }
 
 /// Projects an ExecPlan's thread partition into the model so the prover can
-/// run the disjoint-cover race check on it. The plan must have been
+/// run the row-partition race check on it. The plan must have been
 /// inspected from the same matrix the model was built from.
 template <Real T>
 void attach_exec_plan(LaunchModel& lm, const ExecPlan<T>& plan,
@@ -257,15 +254,11 @@ void attach_exec_plan(LaunchModel& lm, const ExecPlan<T>& plan,
   slices.reserve(static_cast<std::size_t>(plan.num_threads()));
   for (int t = 0; t < plan.num_threads(); ++t) {
     const ThreadSlice& s = plan.slice(t);
-    PlanSliceModel pm;
+    PlanSliceModel pm{s, {}};
     pm.seg_runs.reserve(s.steps.size());
     for (const PlanStep& step : s.steps) {
       pm.seg_runs.push_back({step.seg_begin, step.seg_end});
     }
-    pm.scatter_begin = s.scatter_begin;
-    pm.scatter_end = s.scatter_end;
-    pm.row_begin = s.row_begin;
-    pm.row_end = s.row_end;
     slices.push_back(std::move(pm));
   }
   lm.plan = std::move(slices);

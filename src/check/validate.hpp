@@ -249,17 +249,6 @@ CrsdView<T> make_view(const CrsdStorage<T>& s) {
   return v;
 }
 
-/// Pattern owning global segment `seg` (linear scan; validation is cold).
-template <Real T>
-index_t pattern_of(const CrsdView<T>& v, index_t seg) {
-  index_t cursor = 0;
-  for (std::size_t p = 0; p < v.patterns.size(); ++p) {
-    cursor += v.patterns[p].num_segments;
-    if (seg < cursor) return static_cast<index_t>(p);
-  }
-  return static_cast<index_t>(v.patterns.size()) - 1;
-}
-
 template <Real T>
 std::vector<Diagnostic> validate_view(const CrsdView<T>& v,
                                       const ValidateOptions& opts) {

@@ -7,10 +7,13 @@
 // from. ExecPlan walks the matrix once and freezes all of those decisions
 // into an immutable plan:
 //
-//  * per-pattern segment runs (edge / interior) in segment order;
-//  * a static thread partition balanced on a per-segment cost estimate from
-//    the perf roofline model (perf/cpu_model.hpp), replayable through
-//    ThreadPool's ParallelPlan overload with a stable part->thread mapping;
+//  * a static thread partition from the shared row planner
+//    (core/row_partition.hpp): contiguous segment runs balanced on bytes
+//    moved, each slice owning the scatter rows that target its rows, so a
+//    thread runs its diagonal phase and then its own scatter rows with no
+//    second dispatch. Replayable through ThreadPool's ParallelPlan overload
+//    with a stable part->thread mapping;
+//  * per-slice segment runs (edge / interior) in segment order;
 //  * precomputed x-window extents: for every diagonal, whether it reads a
 //    staged AD-group window (and at which arena offset) or the raw x
 //    stream (and at which column shift) — the executor's inner loop makes
@@ -26,7 +29,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -34,7 +36,7 @@
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
-#include "perf/cpu_model.hpp"
+#include "core/row_partition.hpp"
 
 namespace crsd {
 
@@ -43,13 +45,8 @@ struct ExecPlanOptions {
   /// Thread slices the plan is partitioned into. The plan replays on any
   /// pool, but matching pool.num_threads() gives one slice per thread.
   int num_threads = 1;
-  /// Host model used for the cost estimate (bandwidth/flop roofline).
-  perf::CpuSystemSpec system;
 };
 
-/// Edge segments run the clamped scalar path; the partition weights them a
-/// little heavier than the same traffic through the SIMD interior kernel.
-inline constexpr double kEdgeCostFactor = 1.5;
 /// Bytes of the diagonal value stream prefetched ahead per segment.
 inline constexpr size64_t kPrefetchBytes = 512;
 
@@ -79,13 +76,11 @@ struct PlanStep {
   bool interior = false;  ///< clamp-free SIMD kernel applies
 };
 
-/// Everything one thread executes per sweep.
-struct ThreadSlice {
+/// Everything one thread executes per sweep: its part of the row partition
+/// (segments, the scatter rows targeting them, the y rows it writes) and
+/// the segment runs that cover those segments.
+struct ThreadSlice : SegmentSlice {
   std::vector<PlanStep> steps;  ///< in ascending segment order
-  index_t scatter_begin = 0;    ///< scatter-row indices this thread owns
-  index_t scatter_end = 0;
-  index_t row_begin = 0;  ///< y rows this thread writes in the diagonal phase
-  index_t row_end = 0;
 };
 
 template <Real T>
@@ -100,17 +95,12 @@ class ExecPlan {
     ExecPlan plan;
     plan.signature_ = structure_signature(m);
     const index_t mrows = m.mrows();
-    const index_t segs = m.num_segments_total();
     const int threads = opts.num_threads;
-    const int vb = static_cast<int>(sizeof(T));
-    constexpr bool kDouble = std::is_same_v<T, double>;
 
-    // Per-pattern metadata (x sources, staging arena layout, prefetch
-    // distance) and the per-segment cost the partition balances.
+    // Per-pattern metadata: x sources, staging arena layout, prefetch
+    // distance.
     plan.patterns_.reserve(m.patterns().size());
-    std::vector<double> seg_cost(static_cast<std::size_t>(segs));
-    for (std::size_t pi = 0; pi < m.patterns().size(); ++pi) {
-      const auto& pat = m.patterns()[pi];
+    for (const auto& pat : m.patterns()) {
       PatternPlan pp;
       pp.diag_src.resize(static_cast<std::size_t>(pat.num_diagonals()));
       for (const auto& grp : pat.groups) {
@@ -134,46 +124,23 @@ class ExecPlan {
         if (staged) pp.arena_elems += window;
       }
       const size64_t seg_bytes =
-          pat.slots_per_segment(mrows) * static_cast<size64_t>(vb);
+          pat.slots_per_segment(mrows) * static_cast<size64_t>(sizeof(T));
       pp.prefetch_lines = static_cast<index_t>(
           std::min<size64_t>(seg_bytes, kPrefetchBytes) / 64);
       plan.max_arena_elems_ = std::max(plan.max_arena_elems_, pp.arena_elems);
       plan.patterns_.push_back(std::move(pp));
-
-      const double interior_cost = perf::roofline_seconds(
-          opts.system, perf::pattern_segment_cost(pat, mrows, vb), 1, kDouble);
-      const SegmentInterior in = m.interior_segments(static_cast<index_t>(pi));
-      for (index_t g = m.cum_segments()[pi]; g < m.cum_segments()[pi + 1];
-           ++g) {
-        const bool interior = g >= in.begin && g < in.end;
-        seg_cost[static_cast<std::size_t>(g)] =
-            interior ? interior_cost : interior_cost * kEdgeCostFactor;
-      }
     }
 
-    // Cost-balanced static partition of the global segment range.
-    const ParallelPlan seg_parts =
-        ParallelPlan::weighted_partition(0, segs, threads, seg_cost);
-    const ParallelPlan scatter_parts =
-        ParallelPlan::static_partition(0, m.num_scatter_rows(), threads);
-
-    // Materialize per-thread slices: intersect each part with the pattern
-    // interior/edge runs.
-    plan.slices_.resize(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      ThreadSlice& slice = plan.slices_[static_cast<std::size_t>(t)];
-      const index_t part_b = seg_parts.part_begin(t);
-      const index_t part_e = seg_parts.part_end(t);
-      const RowRange rows =
-          segment_row_range(part_b, part_e, mrows, m.num_rows());
-      slice.row_begin = rows.begin;
-      slice.row_end = rows.end;
-      slice.scatter_begin = scatter_parts.part_begin(t);
-      slice.scatter_end = scatter_parts.part_end(t);
+    // One slice per thread from the shared row partition, its segments
+    // split into the pattern interior/edge runs.
+    plan.slices_.reserve(static_cast<std::size_t>(threads));
+    for (const SegmentSlice& part : partition_segments(m, threads)) {
+      ThreadSlice slice{part, {}};
       for (std::size_t pi = 0;
-           pi < m.patterns().size() && m.cum_segments()[pi] < part_e; ++pi) {
-        const index_t s0 = std::max(part_b, m.cum_segments()[pi]);
-        const index_t s1 = std::min(part_e, m.cum_segments()[pi + 1]);
+           pi < m.patterns().size() && m.cum_segments()[pi] < part.seg_end;
+           ++pi) {
+        const index_t s0 = std::max(part.seg_begin, m.cum_segments()[pi]);
+        const index_t s1 = std::min(part.seg_end, m.cum_segments()[pi + 1]);
         if (s0 >= s1) continue;
         const SegmentInterior in =
             m.interior_segments(static_cast<index_t>(pi));
@@ -183,6 +150,7 @@ class ExecPlan {
         push_step(slice, static_cast<index_t>(pi), ib, ie, true);
         push_step(slice, static_cast<index_t>(pi), ie, s1, false);
       }
+      plan.slices_.push_back(std::move(slice));
     }
     plan.thread_plan_ = ParallelPlan::static_partition(0, threads, threads);
     return plan;

@@ -2,11 +2,13 @@
 // the task for both GPU and CPU to implement the hybrid programming"),
 // following the cooperative-partitioning line of Fukaya et al.
 //
-// One CRSD container is built for the whole matrix and split by row
-// segments: the top slice runs as a pipelined GPU shard (chunked x-window
-// H2D overlapping partial launches, runtime/multi_device.hpp), the bottom
-// slice as a CpuCompute node on the vectorized host engine — a two-branch
-// task graph joined by a barrier. Both branches execute sub-ranges of the
+// One CRSD container is built for the whole matrix and cut into two slices
+// of the shared row partition (core/row_partition.hpp), each owning the
+// scatter rows of its own rows: the top slice runs as a pipelined GPU shard
+// (rt::shard_for; chunked x-window H2D overlapping partial launches,
+// runtime/multi_device.hpp), the bottom slice as a CpuCompute node on the
+// vectorized host engine, priced by the same slice cost — a two-branch task
+// graph joined by a barrier. Both branches execute sub-ranges of the
 // *same* container, so the hybrid product matches the single-engine sweeps
 // row for row. Timing is virtual (gpusim wall model + PCIe model +
 // CPU roofline), scheduled on per-queue clocks, so the scheduler can
@@ -21,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "core/build_api.hpp"
+#include "core/row_partition.hpp"
 #include "hybrid/transfer.hpp"
 #include "perf/cpu_model.hpp"
 #include "runtime/multi_device.hpp"
@@ -84,11 +87,12 @@ class HybridSpmv {
                               ThreadPool* pool = nullptr) const {
     const index_t split = snap_split(split_row);
     const index_t mrows = m_.mrows();
-    const index_t split_seg =
-        std::min((split + mrows - 1) / mrows, m_.num_segments_total());
-    const auto& srow = m_.scatter_rows();
-    const index_t scatter_split = static_cast<index_t>(
-        std::lower_bound(srow.begin(), srow.end(), split) - srow.begin());
+    const index_t segs = m_.num_segments_total();
+    const index_t split_seg = std::min((split + mrows - 1) / mrows, segs);
+    // The two branches are the two slices of a row partition cut at the
+    // split: each owns the scatter rows that target its rows.
+    const rt::Shard gpu_shard = rt::shard_for(m_, 0, split_seg);
+    const SegmentSlice cpu_slice = segment_slice(m_, split_seg, segs);
 
     ThreadPool local_pool(1);
     ThreadPool& exec_pool = pool != nullptr ? *pool : local_pool;
@@ -112,40 +116,25 @@ class HybridSpmv {
     // needed — the join barrier is the graph's root).
     std::vector<T> x_stage, y_dev;
     rt::NodeId gpu_tail = -1;
-    if (split_seg > 0 || scatter_split > 0) {
-      rt::Shard shard;
-      shard.range.seg_begin = 0;
-      shard.range.seg_end = split_seg;
-      shard.range.scatter_begin = 0;
-      shard.range.scatter_end = scatter_split;
-      shard.range.row_begin = 0;
-      shard.range.row_end = split;
-      index_t lo = m_.num_cols();
-      index_t hi = 0;
-      rt::detail::widen_for_diagonals(m_, 0, split_seg, &lo, &hi);
-      rt::detail::widen_for_scatter(m_, 0, scatter_split, &lo, &hi);
-      if (lo >= hi) lo = hi = 0;
-      shard.range.x_begin = lo;
-      shard.range.x_end = hi;
-
+    if (!gpu_shard.range.empty()) {
       const rt::ShardPipeline pipe = rt::append_shard_pipeline(
-          g, lane, dev, m_, shard, mopts, "gpu", x, x_stage, y_dev, y);
+          g, lane, dev, m_, gpu_shard, mopts, "gpu", x, x_stage, y_dev, y);
       gpu_tail = pipe.tail;
     }
 
     // CPU branch: the remaining segments on the vectorized host engine plus
     // the below-split scatter rows, costed by the multicore roofline.
     rt::NodeId cpu_tail = -1;
-    if (split_seg < m_.num_segments_total() ||
-        scatter_split < m_.num_scatter_rows()) {
+    if (!cpu_slice.empty()) {
       const double cpu_seconds = perf::cpu_spmv_seconds(
-          cfg_.cpu, cpu_slice_cost(split_seg, scatter_split),
-          cfg_.cpu_threads, std::is_same_v<T, double>);
+          cfg_.cpu, slice_cost(m_, cpu_slice), cfg_.cpu_threads,
+          std::is_same_v<T, double>);
       cpu_tail = g.add_node(
           rt::NodeKind::kCpuCompute, cpu_q, "cpu.slice",
-          [this, split_seg, scatter_split, x, y, cpu_seconds] {
-            m_.spmv_segments_vec(split_seg, m_.num_segments_total(), x, y);
-            m_.spmv_scatter(scatter_split, m_.num_scatter_rows(), x, y);
+          [this, cpu_slice, x, y, cpu_seconds] {
+            m_.spmv_segments_vec(cpu_slice.seg_begin, cpu_slice.seg_end, x, y);
+            m_.spmv_scatter(cpu_slice.scatter_begin, cpu_slice.scatter_end, x,
+                            y);
             return cpu_seconds;
           });
     }
@@ -232,28 +221,6 @@ class HybridSpmv {
     const index_t snapped =
         segment_row_range(0, seg, mrows, m_.num_rows()).end;
     return split_row == 0 ? 0 : snapped;
-  }
-
-  /// Byte/flop traffic of the CPU slice: its segments' diagonal streams
-  /// plus its scatter rows.
-  perf::SweepCost cpu_slice_cost(index_t split_seg,
-                                 index_t scatter_split) const {
-    perf::SweepCost cost;
-    const int vb = m_.value_bytes();
-    for (index_t g = split_seg; g < m_.num_segments_total(); ++g) {
-      const auto& pat =
-          m_.patterns()[static_cast<std::size_t>(m_.pattern_of_segment(g))];
-      const auto c = perf::pattern_segment_cost(pat, m_.mrows(), vb);
-      cost.bytes += c.bytes;
-      cost.flops += c.flops;
-    }
-    const index_t nscatter = m_.num_scatter_rows() - scatter_split;
-    if (nscatter > 0) {
-      const auto c = perf::scatter_row_cost(m_.scatter_width(), vb);
-      cost.bytes += c.bytes * static_cast<size64_t>(nscatter);
-      cost.flops += c.flops * static_cast<size64_t>(nscatter);
-    }
-    return cost;
   }
 
   HybridConfig cfg_;

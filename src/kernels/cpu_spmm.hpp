@@ -2,7 +2,10 @@
 // Y[:, j] = A * X[:, j] for k column-major right-hand sides, replaying a
 // frozen ExecPlan (core/exec_plan.hpp). The hot loop makes no decisions —
 // segment runs, thread slices, staging-arena layout, per-diagonal x sources
-// and prefetch distances all come out of the plan.
+// and prefetch distances all come out of the plan. Each slice owns the
+// scatter rows that target its own rows, so apply() is one parallel
+// dispatch per call: every thread runs its diagonal phase and then its
+// scatter overwrite.
 //
 // The interior kernel register-blocks the right-hand sides (R in {8,4,2})
 // so one pass over the diagonal value stream feeds R accumulators: the
@@ -206,25 +209,15 @@ class SpmmEngine {
   const ExecPlan<T>& plan() const { return *plan_; }
 
   /// Y[:, j] = A * X[:, j] for j in [0, k): column-major batches with
-  /// leading dimensions ldx/ldy (>= num_cols / num_rows). Diagonal phase
-  /// first, then the scatter overwrite, matching single-vector semantics
-  /// per column. One parallel dispatch per phase; each thread replays its
-  /// plan slice for every block of vectors.
+  /// leading dimensions ldx/ldy (>= num_cols / num_rows). One parallel
+  /// dispatch: each thread replays its plan slice's diagonal phase for every
+  /// block of vectors and then overwrites its own scatter rows, matching
+  /// single-vector semantics per column.
   void apply(ThreadPool& pool, const T* x, size64_t ldx, T* y, size64_t ldy,
              index_t k) const {
     if (k <= 0) return;
-    const CrsdMatrix<T>& m = *m_;
-    const ExecPlan<T>& plan = *plan_;
-    pool.parallel_for(plan.thread_plan(), [&](index_t t, index_t, int) {
+    pool.parallel_for(plan_->thread_plan(), [&](index_t t, index_t, int) {
       apply_slice(static_cast<int>(t), x, ldx, y, ldy, k);
-    });
-    pool.parallel_for(plan.thread_plan(), [&](index_t t, index_t, int) {
-      const ThreadSlice& slice = plan.slice(static_cast<int>(t));
-      for (index_t j = 0; j < k; ++j) {
-        m.spmv_scatter(slice.scatter_begin, slice.scatter_end,
-                       x + static_cast<size64_t>(j) * ldx,
-                       y + static_cast<size64_t>(j) * ldy);
-      }
     });
   }
 
@@ -232,23 +225,16 @@ class SpmmEngine {
   void apply_seq(const T* x, size64_t ldx, T* y, size64_t ldy,
                  index_t k) const {
     if (k <= 0) return;
-    const ExecPlan<T>& plan = *plan_;
-    for (int t = 0; t < plan.num_threads(); ++t) {
+    for (int t = 0; t < plan_->num_threads(); ++t) {
       apply_slice(t, x, ldx, y, ldy, k);
-    }
-    for (int t = 0; t < plan.num_threads(); ++t) {
-      const ThreadSlice& slice = plan.slice(t);
-      for (index_t j = 0; j < k; ++j) {
-        m_->spmv_scatter(slice.scatter_begin, slice.scatter_end,
-                         x + static_cast<size64_t>(j) * ldx,
-                         y + static_cast<size64_t>(j) * ldy);
-      }
     }
   }
 
  private:
-  /// Diagonal phase of one thread slice: right-hand sides in register
-  /// blocks of 8/4/2/1, steps in the plan's order.
+  /// One thread slice: the diagonal phase with right-hand sides in register
+  /// blocks of 8/4/2/1 and steps in the plan's order, then the scatter
+  /// overwrite of the slice's own scatter rows (they target rows this slice
+  /// just wrote, so no other slice is ordered against it).
   /// Slice t only ever touches scratch_[t], so the pool threads of one
   /// apply() never share a buffer; two simultaneous apply() calls on the
   /// same engine are not supported.
@@ -276,6 +262,11 @@ class SpmmEngine {
         run_block<1>(slice, xb, ldx, yb, ldy, arena.data(), src.data());
       }
       j0 += r;
+    }
+    for (index_t j = 0; j < k; ++j) {
+      m_->spmv_scatter(slice.scatter_begin, slice.scatter_end,
+                       x + static_cast<size64_t>(j) * ldx,
+                       y + static_cast<size64_t>(j) * ldy);
     }
   }
 

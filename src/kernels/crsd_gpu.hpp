@@ -25,6 +25,7 @@
 
 #include "common/types.hpp"
 #include "core/crsd_matrix.hpp"
+#include "core/row_partition.hpp"
 #include "gpusim/executor.hpp"
 
 namespace crsd::kernels {
@@ -47,15 +48,8 @@ struct CrsdGpuOptions {
 /// `row_begin`. Sharding slices the *built* container (never a rebuilt
 /// sub-matrix): per-row accumulation order is unchanged, so a sharded sweep
 /// is bitwise-identical to the full launch.
-struct CrsdGpuRange {
-  index_t seg_begin = 0, seg_end = 0;          ///< row segments [begin, end)
-  index_t scatter_begin = 0, scatter_end = 0;  ///< scatter-row list slice
-  index_t row_begin = 0, row_end = 0;          ///< rows covered by y_window
-  index_t x_begin = 0, x_end = 0;              ///< columns in x_window
-
-  bool empty() const {
-    return seg_begin >= seg_end && scatter_begin >= scatter_end;
-  }
+struct CrsdGpuRange : SegmentSlice {
+  index_t x_begin = 0, x_end = 0;  ///< columns in x_window
 
   template <Real T>
   static CrsdGpuRange full(const CrsdMatrix<T>& m) {

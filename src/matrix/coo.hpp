@@ -119,28 +119,6 @@ class Coo {
     return out;
   }
 
-  /// Extracts rows [row_begin, row_end) as a standalone matrix with the
-  /// same column space; row indices are rebased to 0. Used by the hybrid
-  /// CPU+GPU splitter. Requires canonical input; the slice is canonical.
-  Coo row_slice(index_t row_begin, index_t row_end) const {
-    CRSD_CHECK_MSG(is_canonical(), "row_slice requires canonical COO");
-    CRSD_CHECK_MSG(0 <= row_begin && row_begin <= row_end && row_end <= rows_,
-                   "bad slice [" << row_begin << ", " << row_end << ")");
-    Coo out(row_end - row_begin, cols_);
-    const auto lo = std::lower_bound(row_.begin(), row_.end(), row_begin) -
-                    row_.begin();
-    const auto hi =
-        std::lower_bound(row_.begin(), row_.end(), row_end) - row_.begin();
-    out.reserve(static_cast<size64_t>(hi - lo));
-    for (auto k = lo; k < hi; ++k) {
-      out.add(row_[static_cast<std::size_t>(k)] - row_begin,
-              col_[static_cast<std::size_t>(k)],
-              val_[static_cast<std::size_t>(k)]);
-    }
-    out.mark_canonical();
-    return out;
-  }
-
   /// Internal: asserts canonical order was externally established (cast()).
   void mark_canonical() { canonical_ = true; }
 

@@ -84,13 +84,6 @@ double cpu_spmv_seconds(const CpuSystemSpec& spec, const SweepCost& cost,
   return roofline_seconds(spec, cost, threads, double_precision) + t_sync;
 }
 
-double predict_crsd_spmv_seconds(const CrsdStats& stats, index_t num_rows,
-                                 int value_bytes, bool double_precision) {
-  return roofline_seconds(CpuSystemSpec{},
-                          crsd_sweep_cost(stats, num_rows, value_bytes),
-                          /*threads=*/1, double_precision);
-}
-
 double predict_crsd_spmv_seconds(const gpusim::DeviceSpec& spec,
                                  const gpusim::Counters& counters,
                                  bool double_precision) {

@@ -13,9 +13,9 @@
 #include "core/crsd_matrix.hpp"
 #include "matrix/stats.hpp"
 
-// The GPU-counter overload of predict_crsd_spmv_seconds only references
-// these by const&; forward declarations keep header-only consumers of this
-// file (core/exec_plan.hpp) free of the gpusim include chain.
+// predict_crsd_spmv_seconds only references these by const&; forward
+// declarations keep header-only consumers of this file
+// (core/row_partition.hpp) free of the gpusim include chain.
 namespace crsd::gpusim {
 struct DeviceSpec;
 struct Counters;
@@ -83,16 +83,6 @@ SweepCost crsd_sweep_cost(const CrsdStats& s, index_t num_rows,
 double cpu_spmv_seconds(const CpuSystemSpec& spec, const SweepCost& cost,
                         int threads, bool double_precision);
 
-/// Roofline proxy for ranking CRSD candidate configurations without running
-/// them: single-thread bandwidth-bound seconds of one sweep over the
-/// candidate's storage (crsd_sweep_cost under the default system spec).
-/// The absolute scale is a CPU's, not the simulated GPU's, but both are
-/// dominated by the same streamed-bytes term, so the *ordering* over
-/// candidates tracks the measured ordering — which is all the autotuner's
-/// pruning needs.
-double predict_crsd_spmv_seconds(const CrsdStats& stats, index_t num_rows,
-                                 int value_bytes, bool double_precision);
-
 /// GPU-side prediction from statically derived launch counters (the
 /// analysis layer's coalescing replay, analysis/analyze.hpp): feeds the
 /// counters through the simulator's own timing model, so the autotuner can
@@ -105,7 +95,7 @@ double predict_crsd_spmv_seconds(const gpusim::DeviceSpec& spec,
 /// Byte/flop traffic of one row segment of pattern `p` in the CRSD diagonal
 /// part: the segment's value slots stream once, every diagonal rereads its
 /// x window, and y is written once. Inline so header-only inspectors
-/// (core/exec_plan.hpp) can cost segments without linking crsd_perf.
+/// (core/row_partition.hpp) can cost segments without linking crsd_perf.
 inline SweepCost pattern_segment_cost(const DiagonalPattern& p, index_t mrows,
                                       int value_bytes) {
   SweepCost c;

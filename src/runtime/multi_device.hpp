@@ -273,7 +273,8 @@ class MultiDeviceSpmv {
 
   /// Explicit shards (tests inject broken partitions): throws
   /// DiagnosticError carrying kPlanPartition when the shards do not
-  /// disjointly cover the matrix.
+  /// disjointly cover the matrix or a shard holds a scatter row outside its
+  /// own rows (validate_shard_partition).
   MultiDeviceSpmv(const CrsdMatrix<T>& m, std::vector<Shard> shards,
                   MultiDeviceOptions opts = {})
       : m_(m), opts_(std::move(opts)), shards_(std::move(shards)) {

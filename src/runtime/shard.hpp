@@ -1,8 +1,11 @@
 // Row-segment sharding of one built CRSD container across N devices. A
-// shard is a contiguous run of row segments (so each work-group stays whole)
-// plus the slice of the scatter-row list whose rows fall inside the shard,
-// plus the x-window the shard's kernels read — diagonal clamps and scatter
-// gathers included — so only that window is transferred to the device.
+// shard is one slice of the shared row partition (core/row_partition.hpp):
+// a contiguous run of row segments (so each work-group stays whole), the
+// scatter rows whose target row falls inside it, plus the x-window the
+// shard's kernels read — diagonal clamps and scatter gathers included — so
+// only that window is transferred to the device. The partition and its
+// validator are the ones the CPU ExecPlan uses; this file only adds the
+// x-window.
 //
 // Shards slice the *built* matrix, never a rebuilt sub-matrix: builder fill
 // and coalescing decisions depend on run extents crossing shard boundaries,
@@ -11,14 +14,12 @@
 #pragma once
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "check/diagnostics.hpp"
-#include "common/thread_pool.hpp"
 #include "core/crsd_matrix.hpp"
+#include "core/row_partition.hpp"
 #include "kernels/crsd_gpu.hpp"
-#include "perf/cpu_model.hpp"
 
 namespace crsd::rt {
 
@@ -76,130 +77,48 @@ void widen_for_scatter(const CrsdMatrix<T>& m, index_t scatter_begin,
 
 }  // namespace detail
 
-/// Splits the matrix into `num_shards` contiguous segment runs, balanced by
-/// the same per-segment byte cost the ExecPlan inspector uses plus the ELL
-/// cost of the scatter rows each segment holds, and derives each shard's
-/// row slice, scatter slice, and x-window.
+/// The shard owning segments [seg_begin, seg_end): that slice of the row
+/// partition plus the x-window its diagonal and scatter phases read.
+template <Real T>
+Shard shard_for(const CrsdMatrix<T>& m, index_t seg_begin, index_t seg_end) {
+  Shard sh;
+  static_cast<SegmentSlice&>(sh.range) = segment_slice(m, seg_begin, seg_end);
+  index_t lo = m.num_cols();
+  index_t hi = 0;
+  detail::widen_for_diagonals(m, seg_begin, seg_end, &lo, &hi);
+  detail::widen_for_scatter(m, sh.range.scatter_begin, sh.range.scatter_end,
+                            &lo, &hi);
+  if (lo >= hi) {  // empty shard reads nothing
+    lo = 0;
+    hi = 0;
+  }
+  sh.range.x_begin = lo;
+  sh.range.x_end = hi;
+  return sh;
+}
+
+/// Splits the matrix into `num_shards` slices of the shared row partition
+/// (partition_segments: bytes moved per segment, scatter rows priced into
+/// the segment that owns their row), each with its x-window.
 template <Real T>
 std::vector<Shard> plan_shards(const CrsdMatrix<T>& m, int num_shards) {
-  CRSD_CHECK_MSG(num_shards >= 1, "plan_shards needs >= 1 shard");
-  const index_t segs = m.num_segments_total();
-  const index_t mrows = m.mrows();
-  const int vb = m.value_bytes();
-
-  std::vector<double> seg_cost(static_cast<std::size_t>(segs), 0.0);
-  for (index_t g = 0; g < segs; ++g) {
-    const auto& pat =
-        m.patterns()[static_cast<std::size_t>(m.pattern_of_segment(g))];
-    const auto cost = perf::pattern_segment_cost(pat, mrows, vb);
-    seg_cost[static_cast<std::size_t>(g)] = double(cost.bytes);
-  }
-  // Scatter rows run in the shard that owns their row, so price each one
-  // into its segment; otherwise a scattered tail lands on a single shard.
-  const auto& srow = m.scatter_rows();
-  const double scatter_bytes =
-      double(perf::scatter_row_cost(m.scatter_width(), vb).bytes);
-  for (const index_t row : srow) {
-    seg_cost[static_cast<std::size_t>(row / mrows)] += scatter_bytes;
-  }
-  const ParallelPlan plan =
-      ParallelPlan::weighted_partition(0, segs, num_shards, seg_cost);
-
   std::vector<Shard> shards;
-  for (int s = 0; s < plan.num_parts(); ++s) {
-    Shard sh;
-    sh.range.seg_begin = plan.part_begin(s);
-    sh.range.seg_end = plan.part_end(s);
-    const RowRange rows = segment_row_range(sh.range.seg_begin,
-                                            sh.range.seg_end, mrows,
-                                            m.num_rows());
-    sh.range.row_begin = rows.begin;
-    sh.range.row_end = rows.end;
-    // Scatter rows are sorted by row number; the shard owns the rows whose
-    // target falls in its row slice.
-    sh.range.scatter_begin = static_cast<index_t>(
-        std::lower_bound(srow.begin(), srow.end(), sh.range.row_begin) -
-        srow.begin());
-    sh.range.scatter_end = static_cast<index_t>(
-        std::lower_bound(srow.begin(), srow.end(), sh.range.row_end) -
-        srow.begin());
-
-    index_t lo = m.num_cols();
-    index_t hi = 0;
-    detail::widen_for_diagonals(m, sh.range.seg_begin, sh.range.seg_end, &lo,
-                                &hi);
-    detail::widen_for_scatter(m, sh.range.scatter_begin,
-                              sh.range.scatter_end, &lo, &hi);
-    if (lo >= hi) {  // empty shard reads nothing
-      lo = 0;
-      hi = 0;
-    }
-    sh.range.x_begin = lo;
-    sh.range.x_end = hi;
-    shards.push_back(sh);
+  for (const SegmentSlice& s : partition_segments(m, num_shards)) {
+    shards.push_back(shard_for(m, s.seg_begin, s.seg_end));
   }
   return shards;
 }
 
-/// Partition check, mirroring the static analyzer's plan-partition rule:
-/// shard segment runs and scatter slices must disjointly cover their
-/// domains in order, and each shard's row slice must match its segments.
-/// Returns kPlanPartition diagnostics; empty = valid.
+/// The shared partition validator (validate_partition) over the shards'
+/// slices. Returns kPlanPartition diagnostics; empty = valid.
 template <Real T>
 std::vector<check::Diagnostic> validate_shard_partition(
     const CrsdMatrix<T>& m, const std::vector<Shard>& shards) {
-  std::vector<check::Diagnostic> diags;
-  auto fail = [&diags](const std::string& msg, std::int64_t which) {
-    check::Diagnostic d;
-    d.code = check::Code::kPlanPartition;
-    d.severity = check::Severity::kError;
-    d.message = msg;
-    d.offset = which;
-    diags.push_back(std::move(d));
-  };
-
-  index_t seg_cursor = 0;
-  index_t scatter_cursor = 0;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const auto& r = shards[s].range;
-    if (r.seg_begin != seg_cursor || r.seg_end < r.seg_begin) {
-      std::ostringstream os;
-      os << "shard " << s << " segments [" << r.seg_begin << ", " << r.seg_end
-         << ") do not continue the partition at " << seg_cursor;
-      fail(os.str(), static_cast<std::int64_t>(s));
-    }
-    if (r.scatter_begin != scatter_cursor || r.scatter_end < r.scatter_begin) {
-      std::ostringstream os;
-      os << "shard " << s << " scatter slice [" << r.scatter_begin << ", "
-         << r.scatter_end << ") does not continue the partition at "
-         << scatter_cursor;
-      fail(os.str(), static_cast<std::int64_t>(s));
-    }
-    const RowRange want =
-        segment_row_range(r.seg_begin, r.seg_end, m.mrows(), m.num_rows());
-    if (r.row_begin != want.begin || r.row_end != want.end) {
-      std::ostringstream os;
-      os << "shard " << s << " rows [" << r.row_begin << ", " << r.row_end
-         << ") do not match its segment run (want [" << want.begin << ", "
-         << want.end << "))";
-      fail(os.str(), static_cast<std::int64_t>(s));
-    }
-    seg_cursor = std::max(seg_cursor, r.seg_end);
-    scatter_cursor = std::max(scatter_cursor, r.scatter_end);
-  }
-  if (seg_cursor != m.num_segments_total()) {
-    std::ostringstream os;
-    os << "shards cover segments [0, " << seg_cursor << ") of [0, "
-       << m.num_segments_total() << ")";
-    fail(os.str(), -1);
-  }
-  if (scatter_cursor != m.num_scatter_rows()) {
-    std::ostringstream os;
-    os << "shards cover scatter rows [0, " << scatter_cursor << ") of [0, "
-       << m.num_scatter_rows() << ")";
-    fail(os.str(), -1);
-  }
-  return diags;
+  std::vector<SegmentSlice> slices;
+  slices.reserve(shards.size());
+  for (const Shard& sh : shards) slices.push_back(sh.range);
+  return validate_partition(slices, m.num_rows(), m.mrows(),
+                            m.num_segments_total(), m.scatter_rows());
 }
 
 }  // namespace crsd::rt

@@ -262,7 +262,6 @@ struct ServeEngineImpl {
     entry->m = crsd::build(a, entry->config);
     ExecPlanOptions plan_opts;
     plan_opts.num_threads = 1;  // graph nodes run apply_seq on one worker
-    plan_opts.system = opts.system;
     entry->plan = ExecPlan<double>::inspect(entry->m, plan_opts);
     if (entry->m.value_precision() == ValuePrecision::kNative) {
       entry->spmm =

@@ -6,8 +6,6 @@
 // per-SpMV transfers erode the GPU advantage.
 #pragma once
 
-#include <vector>
-
 #include "core/crsd_matrix.hpp"
 #include "hybrid/transfer.hpp"
 #include "kernels/crsd_gpu.hpp"
@@ -37,9 +35,12 @@ inline double vector_kernel_seconds(const gpusim::DeviceSpec& spec,
          double(bytes) / (spec.global_bandwidth_gbps * 1e9);
 }
 
-/// CG with the matrix resident on `dev` in CRSD form. The numerics run on
-/// the host (the simulator computes real values); the timing ledger charges
-/// each operation as the device would.
+/// CG with the matrix resident on `dev` in CRSD form: conjugate_gradient
+/// (unpreconditioned) with the simulated CRSD kernel as its operator. The
+/// numerics run on the host (the simulator computes real values); the
+/// timing ledger charges each operation as the device would — every SpMV
+/// as it launches, the vector kernels replayed afterwards from the
+/// iteration count in the loop's order.
 template <Real T>
 GpuSolveResult gpu_conjugate_gradient(gpusim::Device& dev,
                                       const CrsdMatrix<T>& m, const T* b,
@@ -48,64 +49,33 @@ GpuSolveResult gpu_conjugate_gradient(gpusim::Device& dev,
                                           hybrid::PcieSpec::pcie_gen2_x16()) {
   const index_t n = m.num_rows();
   CRSD_CHECK_MSG(m.num_cols() == n, "CG needs a square operator");
-  const gpusim::DeviceSpec& spec = dev.spec();
   const size64_t vec_bytes = static_cast<size64_t>(n) * sizeof(T);
 
   GpuSolveResult result;
   // b down before the solve, x up after it.
   result.timing.transfer_seconds =
       hybrid::transfer_seconds(pcie, vec_bytes) * 2;
+  result.solve = conjugate_gradient<T>(
+      n,
+      [&](const T* in, T* out) {
+        result.timing.spmv_seconds +=
+            kernels::gpu_spmv_crsd(dev, m, in, out).seconds;
+      },
+      b, x, opts);
 
-  std::vector<T> r(static_cast<std::size_t>(n)), p(r), ap(r);
-
-  auto spmv = [&](const T* in, T* out) {
-    const gpusim::LaunchResult lr = kernels::gpu_spmv_crsd(dev, m, in, out);
-    result.timing.spmv_seconds += lr.seconds;
-  };
   auto charge_vector_op = [&](int vectors_touched) {
     result.timing.vector_seconds += vector_kernel_seconds(
-        spec, static_cast<size64_t>(vectors_touched) * vec_bytes);
+        dev.spec(), static_cast<size64_t>(vectors_touched) * vec_bytes);
   };
-
-  spmv(x, ap.data());
-  for (index_t i = 0; i < n; ++i) {
-    r[static_cast<std::size_t>(i)] = b[i] - ap[static_cast<std::size_t>(i)];
-  }
-  charge_vector_op(3);
-  p = r;
-  charge_vector_op(2);
-  double rr = detail::dot(r, r);
-  charge_vector_op(2);
-  const double bnorm =
-      std::max(detail::norm2(std::vector<T>(b, b + n)), 1e-300);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    result.solve.iterations = it + 1;
-    spmv(p.data(), ap.data());
-    const double pap = detail::dot(p, ap);
-    charge_vector_op(2);
-    CRSD_CHECK_MSG(pap > 0, "matrix is not SPD");
-    const double alpha = rr / pap;
-    for (index_t i = 0; i < n; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      x[i] += static_cast<T>(alpha * double(p[k]));
-      r[k] -= static_cast<T>(alpha * double(ap[k]));
-    }
-    charge_vector_op(6);  // two axpys
-    const double rr_next = detail::dot(r, r);
-    charge_vector_op(2);
-    result.solve.residual_norm = std::sqrt(rr_next);
-    if (result.solve.residual_norm <= opts.tolerance * bnorm) {
-      result.solve.converged = true;
-      return result;
-    }
-    const double beta = rr_next / rr;
-    rr = rr_next;
-    for (index_t i = 0; i < n; ++i) {
-      const std::size_t k = static_cast<std::size_t>(i);
-      p[k] = r[k] + static_cast<T>(beta * double(p[k]));
-    }
-    charge_vector_op(3);
+  charge_vector_op(3);  // r = b - A*x
+  charge_vector_op(2);  // p = r
+  charge_vector_op(2);  // r'r
+  for (int it = 0; it < result.solve.iterations; ++it) {
+    charge_vector_op(2);  // p'Ap
+    charge_vector_op(6);  // x += alpha p, r -= alpha Ap
+    charge_vector_op(2);  // r'r
+    const bool last = it + 1 == result.solve.iterations;
+    if (!(last && result.solve.converged)) charge_vector_op(3);  // p update
   }
   return result;
 }

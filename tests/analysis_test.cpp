@@ -2,8 +2,9 @@
 // mode and geometry toggle safe with zero findings; the coalescing replay
 // reproduces the simulator's measured counters and seconds exactly; and each
 // planted defect class (unclamped edge read, overlapping ExecPlan partition,
-// truncated delta byte range, divergent barrier, duplicate scatter target)
-// is refuted by precisely the matching diagnostic.
+// a scatter row held outside its slice, truncated delta byte range,
+// divergent barrier, duplicate scatter target) is refuted by precisely the
+// matching diagnostic.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -177,6 +178,33 @@ TEST(AnalysisMutation, OverlappingPlanPartitionIsRefuted) {
   for (auto& slice : *lm.plan) {
     if (!slice.seg_runs.empty()) {
       slice.seg_runs.back()[1] += 1;
+      mutated = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(mutated);
+  const auto diags = analyze_model(lm);
+  EXPECT_TRUE(has_code(diags, Code::kPlanPartition))
+      << check::format_diagnostics(diags);
+}
+
+TEST(AnalysisMutation, ScatterRowOutsideItsSliceIsRefuted) {
+  const auto m = build_mode(all_modes()[0]);
+  const auto plan = ExecPlan<double>::inspect(m, {.num_threads = 4});
+  LaunchModel lm = build_launch_model(m, {});
+  attach_exec_plan(lm, plan, m);
+  ASSERT_TRUE(analyze_model(lm).empty()) << "clean plan must verify";
+
+  // Hand one slice's last scatter row to the next slice: segments, scatter
+  // rows and rows all stay covered, but the receiving thread now overwrites
+  // a row the other thread's diagonal phase writes.
+  ASSERT_TRUE(lm.plan.has_value());
+  auto& slices = *lm.plan;
+  bool mutated = false;
+  for (std::size_t t = 0; t + 1 < slices.size(); ++t) {
+    if (slices[t].scatter_end > slices[t].scatter_begin) {
+      slices[t].scatter_end -= 1;
+      slices[t + 1].scatter_begin -= 1;
       mutated = true;
       break;
     }

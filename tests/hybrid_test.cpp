@@ -26,25 +26,6 @@ TEST(Transfer, LatencyPlusBandwidth) {
   EXPECT_GT(transfer_seconds(pcie, 8), 1e-5);
 }
 
-TEST(RowSlice, ExtractsAndRebases) {
-  Coo<double> a(6, 5);
-  a.add(0, 0, 1.0);
-  a.add(2, 3, 2.0);
-  a.add(3, 1, 3.0);
-  a.add(5, 4, 4.0);
-  a.canonicalize();
-  const Coo<double> mid = a.row_slice(2, 4);
-  EXPECT_EQ(mid.num_rows(), 2);
-  EXPECT_EQ(mid.num_cols(), 5);
-  ASSERT_EQ(mid.nnz(), 2u);
-  EXPECT_EQ(mid.row_indices(), (std::vector<index_t>{0, 1}));
-  EXPECT_EQ(mid.col_indices(), (std::vector<index_t>{3, 1}));
-  // Empty and full slices.
-  EXPECT_EQ(a.row_slice(1, 1).nnz(), 0u);
-  EXPECT_EQ(a.row_slice(0, 6).nnz(), a.nnz());
-  EXPECT_THROW(a.row_slice(4, 2), Error);
-}
-
 TEST(HybridSpmv, ComputesCorrectProductAtEverySplit) {
   Rng rng(1);
   const auto a = astro_convection(10, 10, 8, false, rng);

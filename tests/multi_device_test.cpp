@@ -231,6 +231,21 @@ TEST(MultiDevice, BrokenPartitionIsRejected) {
     shards[0].range.row_end -= 1;
     EXPECT_THROW(MultiDeviceSpmv<double>(m, shards), check::DiagnosticError);
   }
+  // One scatter row moved across the shard boundary: every cover stays
+  // intact, but shard 1 would overwrite a row shard 0 computes.
+  {
+    auto shards = plan_shards(m, 2);
+    ASSERT_GT(shards[0].range.scatter_end, shards[0].range.scatter_begin);
+    shards[0].range.scatter_end -= 1;
+    shards[1].range.scatter_begin -= 1;
+    try {
+      const MultiDeviceSpmv<double> engine(m, shards);
+      FAIL() << "shard holding another shard's scatter row accepted";
+    } catch (const check::DiagnosticError& e) {
+      ASSERT_FALSE(e.diagnostics().empty());
+      EXPECT_EQ(e.diagnostics()[0].code, check::Code::kPlanPartition);
+    }
+  }
 }
 
 TEST(MultiDevice, RangedLaunchesAreMemcheckClean) {

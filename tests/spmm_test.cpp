@@ -5,6 +5,7 @@
 // and block CG on top of the batched apply.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -73,6 +74,22 @@ Coo<double> random_pattern_matrix(index_t n, int diag_budget,
   if (scatter > 0) inject_scatter(a, scatter, rng);
   a.canonicalize();
   return a;
+}
+
+/// Turns the rows on both sides of every segment boundary (g * mrows - 1
+/// and g * mrows) into scatter rows: each gets two nonzeros at offsets that
+/// vary row to row, so they form no diagonal. Wherever a thread partition
+/// cuts, its slices then own scatter rows right at their edges (the caller
+/// asserts this).
+void scatter_at_segment_edges(Coo<double>& a, index_t mrows) {
+  const index_t n = a.num_rows();
+  for (index_t edge = mrows; edge < n; edge += mrows) {
+    for (const index_t r : {edge - 1, edge}) {
+      a.add(r, (7 * r + n / 2 + 3) % n, 0.5);
+      a.add(r, (13 * r + n / 3 + 5) % n, -0.25);
+    }
+  }
+  a.canonicalize();
 }
 
 template <Real T>
@@ -324,6 +341,41 @@ TEST_P(SpmmParity, ColumnsMatchSingleVectorSweepsBitwise) {
                   yscalar.data() + static_cast<size64_t>(j) * ldy);
   }
   expect_bitwise(y, yscalar, "apply_seq vs per-column spmv_scalar");
+
+  // Each thread overwrites only the scatter rows of its own slice, right
+  // after its diagonal phase, in the same dispatch: at every thread count
+  // and register block, apply() stays bitwise equal to spmv_scalar — also
+  // on the same matrix with scatter rows on both sides of every segment
+  // boundary, so every slice owns scatter rows at its edges.
+  auto a_edges = a;
+  scatter_at_segment_edges(a_edges, mrows);
+  const auto m_edges = build(a_edges, CrsdConfig{.mrows = mrows});
+  for (const CrsdMatrix<double>* mat : {&m, &m_edges}) {
+    const auto& srow = mat->scatter_rows();
+    for (const int threads : {2, 3, 4}) {
+      const auto tplan =
+          ExecPlan<double>::inspect(*mat, {.num_threads = threads});
+      for (int t = 1; mat == &m_edges && t < tplan.num_threads(); ++t) {
+        const index_t edge = tplan.slice(t).row_begin;
+        if (edge == 0 || edge == mat->num_rows()) continue;
+        ASSERT_TRUE(std::binary_search(srow.begin(), srow.end(), edge - 1) &&
+                    std::binary_search(srow.begin(), srow.end(), edge))
+            << "no scatter rows on the slice boundary at row " << edge;
+      }
+      const SpmmEngine<double> tengine(*mat, tplan);
+      ThreadPool tpool(threads);
+      for (const index_t kk : {1, 3, 8}) {
+        const auto xk = random_block<double>(mat->num_cols(), kk, 17);
+        std::vector<double> got(ldy * kk, -5.0), ref(ldy * kk, -6.0);
+        tengine.apply(tpool, xk.data(), ldx, got.data(), ldy, kk);
+        for (index_t j = 0; j < kk; ++j) {
+          mat->spmv_scalar(xk.data() + static_cast<size64_t>(j) * ldx,
+                           ref.data() + static_cast<size64_t>(j) * ldy);
+        }
+        expect_bitwise(got, ref, "threaded apply vs per-column spmv_scalar");
+      }
+    }
+  }
 }
 
 TEST_P(SpmmParity, FloatColumnsMatchSingleVectorSweepsBitwise) {
