@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace crsd {
@@ -36,26 +35,6 @@ void record_queue_depth(std::size_t depth) {
   queue_depth_histogram().record(depth);
   obs::Gauge& g = queue_depth_highwater_gauge();
   if (double(depth) > g.value()) g.set(double(depth));
-}
-
-obs::Counter& urgent_executed_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pool.urgent_executed");
-  return c;
-}
-
-// Urgent tasks are fire-and-forget: nobody is positioned to catch their
-// exceptions (the submitter has moved on, and first_error_ belongs to
-// whatever parallel_for is in flight), so failures are logged and dropped.
-void execute_urgent(const std::function<void()>& task) {
-  try {
-    task();
-  } catch (const std::exception& e) {
-    CRSD_LOG_WARN(std::string("urgent task threw: ") + e.what());
-  } catch (...) {
-    CRSD_LOG_WARN("urgent task threw a non-std exception");
-  }
-  urgent_executed_counter().add(1);
 }
 
 }  // namespace
@@ -131,144 +110,22 @@ void ThreadPool::parallel_for(
     index_t begin, index_t end,
     const std::function<void(index_t, index_t, int)>& fn) {
   if (begin >= end) return;
-  const index_t n = end - begin;
-  const int chunks = static_cast<int>(
-      std::min<index_t>(n, static_cast<index_t>(num_threads_)));
-
-  if (chunks == 1) {
-    fn(begin, end, 0);
-    tasks_executed_counter().add(1);
-    return;
-  }
-
-  // Static partition into `chunks` nearly-equal contiguous ranges.
-  std::vector<Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(chunks));
-  const index_t base = n / chunks;
-  const index_t extra = n % chunks;
-  index_t cursor = begin;
-  for (int c = 0; c < chunks; ++c) {
-    const index_t len = base + (c < extra ? 1 : 0);
-    tasks.push_back(Task{&fn, cursor, cursor + len, c});
-    cursor += len;
-  }
-  CRSD_ASSERT(cursor == end);
-
-  // Chunk 0 runs on the calling thread; the rest are queued for workers.
-  Task mine = tasks.front();
-  std::size_t pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CRSD_CHECK_MSG(outstanding_ == 0 && pending_.empty(),
-                   "nested/concurrent parallel_for on one ThreadPool is not "
-                   "supported");
-    first_error_ = nullptr;
-    pending_.assign(tasks.begin() + 1, tasks.end());
-    outstanding_ = static_cast<int>(pending_.size());
-    pushed = pending_.size();
-    record_queue_depth(pushed);
-  }
-  wake_workers(pushed);
-
-  try {
-    (*mine.fn)(mine.begin, mine.end, mine.thread_id);
-    tasks_executed_counter().add(1);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return outstanding_ == 0 && pending_.empty(); });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  const int parts = static_cast<int>(
+      std::min<index_t>(end - begin, static_cast<index_t>(num_threads_)));
+  parallel_for(ParallelPlan::static_partition(begin, end, parts), fn);
 }
 
 void ThreadPool::parallel_for(
     const ParallelPlan& plan,
     const std::function<void(index_t, index_t, int)>& fn) {
-  if (plan.empty()) return;
-  const int parts = plan.num_parts();
-
-  // Find the first non-empty part: it runs on the calling thread with its
-  // plan-assigned id, so replays keep range->thread affinity.
-  int mine = -1;
   std::vector<Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(parts));
-  for (int p = 0; p < parts; ++p) {
-    const index_t b = plan.part_begin(p);
-    const index_t e = plan.part_end(p);
-    if (b >= e) continue;
-    if (mine < 0) {
-      mine = p;
-    } else {
-      tasks.push_back(Task{&fn, b, e, p});
+  tasks.reserve(static_cast<std::size_t>(plan.num_parts()));
+  for (int p = 0; p < plan.num_parts(); ++p) {
+    if (plan.part_begin(p) < plan.part_end(p)) {
+      tasks.push_back(Task{&fn, plan.part_begin(p), plan.part_end(p), p});
     }
   }
-  if (mine < 0) return;
-  if (tasks.empty()) {
-    fn(plan.part_begin(mine), plan.part_end(mine), mine);
-    tasks_executed_counter().add(1);
-    return;
-  }
-
-  std::size_t pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CRSD_CHECK_MSG(outstanding_ == 0 && pending_.empty(),
-                   "nested/concurrent parallel_for on one ThreadPool is not "
-                   "supported");
-    first_error_ = nullptr;
-    pending_ = std::move(tasks);
-    outstanding_ = static_cast<int>(pending_.size());
-    pushed = pending_.size();
-    record_queue_depth(pushed);
-  }
-  wake_workers(pushed);
-
-  try {
-    fn(plan.part_begin(mine), plan.part_end(mine), mine);
-    tasks_executed_counter().add(1);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-
-  // The calling thread drains remaining parts alongside the workers (plans
-  // may carry more parts than the pool has threads). Urgent tasks go first.
-  for (;;) {
-    if (run_one_urgent()) continue;
-    Task task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) break;
-      task = pending_.back();
-      pending_.pop_back();
-    }
-    try {
-      (*task.fn)(task.begin, task.end, task.thread_id);
-      tasks_executed_counter().add(1);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --outstanding_;
-      if (outstanding_ == 0 && pending_.empty()) cv_done_.notify_all();
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return outstanding_ == 0 && pending_.empty(); });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  run(tasks);
 }
 
 void ThreadPool::parallel_for_chunked(
@@ -276,72 +133,17 @@ void ThreadPool::parallel_for_chunked(
     const std::function<void(index_t, index_t, int)>& fn) {
   if (begin >= end) return;
   chunk_size = std::max<index_t>(1, chunk_size);
-  const index_t n = end - begin;
-  if (num_threads_ == 1 || n <= chunk_size) {
-    fn(begin, end, 0);
-    tasks_executed_counter().add(1);
-    return;
+  if (num_threads_ == 1) chunk_size = end - begin;
+  std::vector<Task> tasks;
+  for (index_t lo = begin; lo < end;) {
+    const index_t hi = lo + std::min(chunk_size, end - lo);
+    tasks.push_back(Task{&fn, lo, hi, -1});  // -1: the claimer's id
+    lo = hi;
   }
-
-  std::size_t pushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CRSD_CHECK_MSG(outstanding_ == 0 && pending_.empty(),
-                   "nested/concurrent parallel_for on one ThreadPool is not "
-                   "supported");
-    first_error_ = nullptr;
-    // thread_id -1 = "claimed dynamically": the executing thread substitutes
-    // its own id. Queued back-to-front so pop_back() hands chunks out in
-    // ascending index order.
-    for (index_t cursor = end; cursor > begin;) {
-      const index_t lo = std::max<index_t>(
-          begin, cursor < chunk_size ? 0 : cursor - chunk_size);
-      pending_.push_back(Task{&fn, lo, cursor, -1});
-      cursor = lo;
-    }
-    outstanding_ = static_cast<int>(pending_.size());
-    pushed = pending_.size();
-    record_queue_depth(pushed);
-  }
-  wake_workers(pushed);
-
-  // The calling thread drains the queue alongside the workers. Urgent
-  // tasks go first — this is what keeps a front-of-queue submit from
-  // waiting out an entire chunk train.
-  for (;;) {
-    if (run_one_urgent()) continue;
-    Task task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) break;
-      task = pending_.back();
-      pending_.pop_back();
-    }
-    try {
-      (*task.fn)(task.begin, task.end, 0);
-      tasks_executed_counter().add(1);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --outstanding_;
-      if (outstanding_ == 0 && pending_.empty()) cv_done_.notify_all();
-    }
-  }
-
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return outstanding_ == 0 && pending_.empty(); });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  run(tasks);
 }
 
 void ThreadPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
   parallel_for_chunked(0, static_cast<index_t>(tasks.size()), 1,
                        [&tasks](index_t b, index_t e, int) {
                          for (index_t i = b; i < e; ++i) {
@@ -350,42 +152,73 @@ void ThreadPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
                        });
 }
 
-void ThreadPool::submit_urgent(std::function<void()> task) {
-  if (num_threads_ == 1) {
-    // No workers exist: run inline, preserving ThreadPool(1)'s
-    // zero-synchronization contract.
-    execute_urgent(task);
+void ThreadPool::run(const std::vector<Task>& tasks) {
+  if (tasks.empty()) return;
+  if (tasks.size() == 1) {
+    // Nothing to share: run inline, exceptions propagate directly.
+    const Task& t = tasks.front();
+    (*t.fn)(t.begin, t.end, std::max(t.thread_id, 0));
+    tasks_executed_counter().add(1);
     return;
   }
+
+  std::size_t pushed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++urgent_outstanding_;
-    urgent_.push_back(std::move(task));
+    CRSD_CHECK_MSG(outstanding_ == 0 && pending_.empty(),
+                   "nested/concurrent parallel_for on one ThreadPool is not "
+                   "supported");
+    first_error_ = nullptr;
+    // Queued back-to-front so pop_back() hands tasks out in order.
+    pending_.assign(tasks.rbegin(), tasks.rend() - 1);
+    outstanding_ = static_cast<int>(pending_.size());
+    pushed = pending_.size();
+    record_queue_depth(pushed);
   }
-  cv_work_.notify_one();
-}
+  wake_workers(pushed);
 
-void ThreadPool::drain_urgent() {
-  if (num_threads_ == 1) return;  // everything already ran inline
+  // The first task runs on the calling thread, which then drains the queue
+  // alongside the workers (plans and chunked loops may carry more tasks
+  // than the pool has threads).
+  execute(tasks.front(), 0);
+  for (;;) {
+    Task task;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pending_.empty()) break;
+      task = pending_.back();
+      pending_.pop_back();
+    }
+    execute(task, 0);
+    finish_queued();
+  }
+
   std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return urgent_outstanding_ == 0; });
+  cv_done_.wait(lock, [this] { return outstanding_ == 0 && pending_.empty(); });
+  if (first_error_) {
+    auto err = first_error_;
+    first_error_ = nullptr;
+    std::rethrow_exception(err);
+  }
 }
 
-bool ThreadPool::run_one_urgent() {
-  std::function<void()> task;
-  {
+bool ThreadPool::execute(const Task& task, int claimer_id) {
+  try {
+    (*task.fn)(task.begin, task.end,
+               task.thread_id >= 0 ? task.thread_id : claimer_id);
+    tasks_executed_counter().add(1);
+    return true;
+  } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (urgent_.empty()) return false;
-    task = std::move(urgent_.front());
-    urgent_.pop_front();
+    if (!first_error_) first_error_ = std::current_exception();
+    return false;
   }
-  execute_urgent(task);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --urgent_outstanding_;
-    if (urgent_outstanding_ == 0) cv_done_.notify_all();
-  }
-  return true;
+}
+
+void ThreadPool::finish_queued() {
+  std::lock_guard<std::mutex> lock(mu_);
+  --outstanding_;
+  if (outstanding_ == 0 && pending_.empty()) cv_done_.notify_all();
 }
 
 void ThreadPool::wake_workers(std::size_t pushed) {
@@ -404,35 +237,13 @@ void ThreadPool::worker_loop(int worker_id) {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [this] {
-        return stopping_ || !urgent_.empty() || !pending_.empty();
-      });
-      if (!urgent_.empty()) {
-        // Urgent tasks preempt every queued chunk; re-enter the claim loop
-        // afterwards (run_one_urgent re-takes the lock itself).
-        lock.unlock();
-        run_one_urgent();
-        continue;
-      }
-      if (stopping_ && pending_.empty()) return;
-      if (pending_.empty()) continue;  // urgent claimed by another thread
+      cv_work_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
+      if (pending_.empty()) return;  // stopping
       task = pending_.back();
       pending_.pop_back();
     }
-    try {
-      (*task.fn)(task.begin, task.end,
-                 task.thread_id >= 0 ? task.thread_id : worker_id);
-      tasks_executed_counter().add(1);
-      my_tasks.add(1);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --outstanding_;
-      if (outstanding_ == 0 && pending_.empty()) cv_done_.notify_all();
-    }
+    if (execute(task, worker_id)) my_tasks.add(1);
+    finish_queued();
   }
 }
 

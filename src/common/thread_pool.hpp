@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -53,8 +53,17 @@ class ParallelPlan {
 };
 
 /// Fixed-size worker pool. Construction spawns `num_threads - 1` workers;
-/// the calling thread always participates in parallel_for, so
-/// ThreadPool(1) runs everything inline with zero synchronization cost.
+/// the calling thread always takes part in its own loop, so ThreadPool(1)
+/// runs everything inline with zero synchronization cost.
+///
+/// Every entry point lowers its loop to a list of (range, thread id) tasks
+/// and hands it to one routine: the first task runs on the calling thread,
+/// the rest are queued for the workers, the caller drains the queue
+/// alongside them, and the call blocks until every task has finished. The
+/// first exception thrown by a task is rethrown to the caller once the
+/// loop is done; the pool stays usable. fn signature for all loops:
+/// void(index_t chunk_begin, index_t chunk_end, int thread_id). One loop at
+/// a time: nested or concurrent loops on the same pool are rejected.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -65,11 +74,10 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Runs fn(begin..end) partitioned into contiguous static chunks, one per
-  /// thread (SpMV row blocks want static partitioning for locality).
-  /// fn signature: void(index_t chunk_begin, index_t chunk_end, int thread_id).
-  /// Blocks until all chunks complete. Exceptions thrown by fn propagate
-  /// to the caller (first one wins).
+  /// Runs fn over [begin, end) cut into min(end - begin, num_threads())
+  /// contiguous static chunks (SpMV row blocks want static partitioning for
+  /// locality): a replay of ParallelPlan::static_partition, so chunk i gets
+  /// thread id i.
   void parallel_for(index_t begin, index_t end,
                     const std::function<void(index_t, index_t, int)>& fn);
 
@@ -78,40 +86,23 @@ class ThreadPool {
   /// whichever thread is free, so ranges whose per-index cost varies (e.g.
   /// CRSD segments of patterns with different diagonal counts) load-balance
   /// instead of leaving threads idle behind one expensive static block.
-  /// Same fn signature and blocking/exception semantics as parallel_for.
+  /// The thread id passed to fn is the claiming thread's (0 = caller).
   void parallel_for_chunked(index_t begin, index_t end, index_t chunk_size,
                             const std::function<void(index_t, index_t, int)>& fn);
 
   /// Replays a precomputed partition: part i runs as fn(part_begin(i),
-  /// part_end(i), i) with no per-call slicing. Part 0 runs on the calling
-  /// thread; empty parts are skipped without dispatch. The part index is
-  /// passed as the thread id, so a plan with num_parts() == num_threads()
-  /// gives each thread a stable range across replays. Blocking/exception
-  /// semantics match parallel_for.
+  /// part_end(i), i) with no per-call slicing; empty parts are skipped. The
+  /// part index is passed as the thread id, so a plan with num_parts() ==
+  /// num_threads() gives each range a stable id across replays. Plans may
+  /// carry more parts than the pool has threads.
   void parallel_for(const ParallelPlan& plan,
                     const std::function<void(index_t, index_t, int)>& fn);
 
   /// Runs a set of independent tasks, each claimed by whichever thread is
   /// free (dynamic scheduling — tasks of very different cost, e.g. autotune
   /// candidate builds, load-balance instead of serializing behind one
-  /// static block). Blocks until all tasks complete; exceptions propagate
-  /// like parallel_for (first one wins).
+  /// static block). Same blocking/exception semantics as parallel_for.
   void run_tasks(const std::vector<std::function<void()>>& tasks);
-
-  /// Submits one independent fire-and-forget task ahead of every queued
-  /// parallel_for / parallel_for_chunked chunk: the next thread to claim
-  /// work — a free worker, or a caller draining its own loop — runs urgent
-  /// tasks before any chunk, so a latency-sensitive submitter (the serving
-  /// engine's coalescing-window flush) is never starved behind a long chunk
-  /// train. Urgent tasks submitted together run in FIFO order. On a
-  /// 1-thread pool the task runs inline before returning (there are no
-  /// workers). Exceptions thrown by the task are logged and swallowed —
-  /// they never poison a concurrently running parallel_for. The task must
-  /// not issue parallel work on this pool itself.
-  void submit_urgent(std::function<void()> task);
-
-  /// Blocks until every urgent task submitted so far has finished.
-  void drain_urgent();
 
   /// Process-wide pool sized to hardware_concurrency (lazily constructed).
   static ThreadPool& global();
@@ -121,15 +112,21 @@ class ThreadPool {
     const std::function<void(index_t, index_t, int)>* fn = nullptr;
     index_t begin = 0;
     index_t end = 0;
-    int thread_id = 0;
+    int thread_id = 0;  ///< -1: pass the claiming thread's id
   };
 
-  void worker_loop(int worker_id);
+  /// The one dispatch routine behind every loop: runs tasks[0] on the
+  /// caller, queues the rest, drains, waits, rethrows the first error.
+  void run(const std::vector<Task>& tasks);
 
-  /// Claims and runs one urgent task if any is queued; returns whether one
-  /// ran. Called at the top of every claim loop so urgent tasks preempt
-  /// pending chunks.
-  bool run_one_urgent();
+  /// Runs one task as thread `claimer_id`, recording a thrown exception in
+  /// first_error_; returns whether the task completed.
+  bool execute(const Task& task, int claimer_id);
+
+  /// Retires one queued task and wakes the caller when the loop is done.
+  void finish_queued();
+
+  void worker_loop(int worker_id);
 
   /// Wake exactly as many workers as there are newly queued tasks: a single
   /// task wakes one worker instead of stampeding the whole pool (the graph
@@ -143,9 +140,7 @@ class ThreadPool {
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::vector<Task> pending_;
-  std::deque<std::function<void()>> urgent_;  ///< FIFO, claimed before pending_
   int outstanding_ = 0;
-  int urgent_outstanding_ = 0;  ///< queued + running urgent tasks
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };

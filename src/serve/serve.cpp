@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "codegen/crsd_jit_kernel.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -24,6 +23,7 @@
 #include "kernels/crsd_autotune.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "perf/cpu_model.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace crsd::serve {
@@ -144,7 +144,6 @@ struct ServeEngineImpl {
     CrsdMatrix<double> m;
     ExecPlan<double> plan;
     std::unique_ptr<SpmmEngine<double>> spmm;  ///< null for compacted values
-    std::optional<codegen::CrsdJitKernel<double>> jit;
     // Virtual-timeline cost pieces (perf roofline, modeled seconds):
     // the diagonal/scatter value+index streams are read once per batch,
     // x reads and y writes scale per vector.
@@ -175,22 +174,13 @@ struct ServeEngineImpl {
   std::size_t pending_total = 0;
   std::atomic<int> fault_injections{0};
   bool stopping = false;
-  bool dispatch_in_flight = false;  ///< serializes drain()/flush cycles
-  std::optional<codegen::JitCompiler> compiler;
+  bool dispatch_in_flight = false;  ///< rejects concurrent drain() calls
+  const perf::CpuSystemSpec host{};  ///< host model behind the node costs
   std::thread dispatcher;
 
   ServeEngineImpl(ThreadPool& p, ServeOptions o) : pool(p), opts(std::move(o)) {
     CRSD_CHECK_MSG(opts.max_batch >= 1, "max_batch must be >= 1");
     CRSD_CHECK_MSG(opts.exec_lanes >= 1, "exec_lanes must be >= 1");
-    if (opts.use_jit) {
-      try {
-        compiler.emplace();
-      } catch (const std::exception& e) {
-        CRSD_LOG_WARN(std::string("serve: no JIT compiler available, using "
-                                  "interpreted single-vector fallback: ") +
-                      e.what());
-      }
-    }
     if (opts.async) {
       dispatcher = std::thread([this] { dispatcher_loop(); });
     }
@@ -203,11 +193,8 @@ struct ServeEngineImpl {
         stopping = true;
       }
       cv_pending.notify_all();
-      dispatcher.join();
+      dispatcher.join();  // flushes whatever is still pending first
     }
-    // Urgent single-request closures capture entry pointers; make sure
-    // none are still in flight before the registry is torn down.
-    pool.drain_urgent();
   }
 
   // ---------------------------------------------------------------- registry
@@ -250,13 +237,10 @@ struct ServeEngineImpl {
     // a registration race just means the duplicate build is dropped.
     auto entry = std::make_unique<Entry>();
     entry->shash = shash;
-    if (opts.tune_from_cache) {
-      if (std::optional<kernels::CachedTuning> tuned =
-              kernels::load_cached_tuning(gpusim::DeviceSpec::tesla_c2050(),
-                                          a)) {
-        entry->config = tuned->config;
-        entry->tuned_from_cache = true;
-      }
+    if (std::optional<kernels::CachedTuning> tuned =
+            kernels::load_cached_tuning(gpusim::DeviceSpec::tesla_c2050(), a)) {
+      entry->config = tuned->config;
+      entry->tuned_from_cache = true;
     }
     entry->config.storage = storage;
     entry->m = crsd::build(a, entry->config);
@@ -266,16 +250,6 @@ struct ServeEngineImpl {
     if (entry->m.value_precision() == ValuePrecision::kNative) {
       entry->spmm =
           std::make_unique<SpmmEngine<double>>(entry->m, entry->plan);
-    }
-    if (compiler.has_value()) {
-      try {
-        entry->jit = codegen::make_jit_kernel(entry->m, *compiler,
-                                              codegen::Checked::kYes);
-      } catch (const std::exception& e) {
-        CRSD_LOG_WARN(std::string("serve: JIT compile failed, interpreted "
-                                  "fallback: ") +
-                      e.what());
-      }
     }
 
     const CrsdStats st = entry->m.stats();
@@ -319,14 +293,14 @@ struct ServeEngineImpl {
     perf::SweepCost c;
     c.bytes = static_cast<size64_t>(e.stream_bytes + double(k) * e.per_vec_bytes);
     c.flops = static_cast<size64_t>(double(k) * e.per_vec_flops);
-    return perf::roofline_seconds(opts.system, c, 1, true);
+    return perf::roofline_seconds(host, c, 1, true);
   }
 
   double transfer_seconds(size64_t bytes) const {
     perf::SweepCost c;
     c.bytes = bytes;
     c.flops = 0;
-    return perf::roofline_seconds(opts.system, c, 1, true);
+    return perf::roofline_seconds(host, c, 1, true);
   }
 
   // --------------------------------------------------------------- requests
@@ -485,13 +459,11 @@ struct ServeEngineImpl {
                   static_cast<std::size_t>(opts.exec_lanes)],
           "spmm." + tag, [this, b, k, ncols, nrows] {
             const Entry& en = *b->entry;
-            if (k >= 2) {
+            if (en.spmm) {
               en.spmm->apply_seq(b->x_block.data(),
                                  static_cast<size64_t>(ncols),
                                  b->y_block.data(),
                                  static_cast<size64_t>(nrows), k);
-            } else if (en.jit.has_value()) {
-              en.jit->spmv(en.m, b->x_block.data(), b->y_block.data());
             } else {
               en.m.spmv(b->x_block.data(), b->y_block.data());
             }
@@ -641,11 +613,8 @@ struct ServeEngineImpl {
 
   /// Background dispatcher: sleep until work arrives, linger for the
   /// coalescing window (flushing early once a full batch is waiting), then
-  /// flush. Leftover k==1 requests — no batch formed within the window —
-  /// take the urgent fast path: ThreadPool::submit_urgent runs them ahead
-  /// of any queued chunk train, and the single-vector body never touches
-  /// the pool's parallel machinery, so it composes with an in-flight
-  /// graph run.
+  /// flush everything pending through the same task graph drain() builds.
+  /// On shutdown it keeps flushing until the queue is empty.
   void dispatcher_loop() {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
@@ -661,61 +630,15 @@ struct ServeEngineImpl {
             });
       }
       std::vector<Batch> batches = collect_batches_locked();
-      dispatch_in_flight = true;
       lock.unlock();
-
-      std::vector<Batch> graph_batches;
-      for (Batch& b : batches) {
-        if (b.reqs.size() >= 2) {
-          graph_batches.push_back(std::move(b));
-        } else {
-          dispatch_single_urgent(std::move(b));
-        }
-      }
       try {
-        dispatch(std::move(graph_batches));
+        dispatch(std::move(batches));
       } catch (const std::exception& e) {
         CRSD_LOG_ERROR(std::string("serve: dispatch cycle failed: ") +
                        e.what());
       }
-
       lock.lock();
-      dispatch_in_flight = false;
     }
-  }
-
-  /// k == 1 fallback outside the graph (async mode): JIT or interpreted
-  /// single-vector SpMV on the urgent path. The virtual finish is the
-  /// modeled single-request pipeline (gather + sweep + deliver) — there is
-  /// no graph timeline to read it from.
-  void dispatch_single_urgent(Batch b) {
-    singles_counter().add(1);
-    auto body = [this, b = std::move(b)]() mutable {
-      const Entry& e = *b.entry;
-      State& s = *b.reqs[0];
-      std::vector<double> y(static_cast<std::size_t>(e.m.num_rows()));
-      if (e.jit.has_value()) {
-        e.jit->spmv(e.m, s.x.data(), y.data());
-      } else {
-        e.m.spmv(s.x.data(), y.data());
-      }
-      const double modeled =
-          transfer_seconds(static_cast<size64_t>(e.m.num_cols()) *
-                           sizeof(double)) +
-          batch_seconds(e, 1) +
-          transfer_seconds(static_cast<size64_t>(e.m.num_rows()) *
-                           sizeof(double));
-      {
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.result = std::move(y);
-        s.batch_k = 1;
-        s.virtual_finish = modeled;
-        s.status = RequestStatus::kDone;
-        s.cv.notify_all();
-      }
-      record_latency(s.tenant, now_ns() - s.submit_ns);
-    };
-    pool.submit_urgent(std::move(body));
   }
 };
 

@@ -2,29 +2,32 @@
 // that registers matrices once, accepts concurrent SpMV requests against
 // them, and *coalesces* requests that target the same matrix into one
 // register-blocked SpMM call (kernels/cpu_spmm.hpp) — the k=8 batch sweep
-// streams the value stream once for eight right-hand sides, which is where
-// the ~1.76x served-throughput headroom under load comes from.
+// streams the value stream once for eight right-hand sides. On the modeled
+// (virtual-timeline) seconds bench_serve measures, coalesced dispatch serves
+// 1.69x the uncoalesced throughput on the dense-band family
+// (BENCH_serve.json).
 //
 // Shape of the engine:
 //
 //  * Registry: matrices are registered up front and deduplicated by
 //    (structure hash, value fingerprint, storage mode), so tenants sharing
-//    a matrix share one CRSD build, one ExecPlan, one SpmmEngine, and one
-//    JIT codelet. Each entry's CrsdConfig defaults from the persistent
-//    autotune cache (kernels/crsd_autotune.hpp) keyed by the same
-//    structure hash.
+//    a matrix share one CRSD build, one ExecPlan and one SpmmEngine. Each
+//    entry's CrsdConfig defaults from the persistent autotune cache
+//    (kernels/crsd_autotune.hpp) keyed by the same structure hash.
 //
 //  * Dispatch: each flush cycle groups the pending queue per matrix into
 //    batches of at most max_batch requests and lowers the whole cycle into
 //    one rt::TaskGraph — a kH2D gather node (pack request vectors into a
 //    column-major X block), a kLaunch compute node on the matrix's exec
-//    lane (SpmmEngine::apply_seq for k >= 2, JIT or interpreted
-//    single-vector SpMV for k == 1), a kD2H deliver node
-//    (slice Y back into per-request results), and a final kReduce epoch
-//    node. rt::GraphExecutor runs it on the shared ThreadPool, so serve
-//    batches compose with multi-device shards and hybrid splits under one
-//    scheduler, and the virtual timeline gives a deterministic,
-//    noise-free makespan (bench_serve gates on it).
+//    lane (lane = matrix id % exec_lanes; SpmmEngine::apply_seq for every
+//    k, k = 1 included), a kD2H deliver node (slice Y back into
+//    per-request results), and a final kReduce epoch node. rt::GraphExecutor
+//    runs it on the shared ThreadPool, so serve batches compose with
+//    multi-device shards and hybrid splits under one scheduler, and the
+//    virtual timeline gives a deterministic, noise-free makespan
+//    (bench_serve gates on it). Manual mode's drain() and the async
+//    dispatcher flush through this same path; a lone request is a k = 1
+//    batch in the graph like any other.
 //
 //  * Admission control: past max_queue_depth pending requests, submit()
 //    rejects immediately with a check::Diagnostic (kServeOverload) instead
@@ -51,7 +54,6 @@
 #include "common/types.hpp"
 #include "core/build_api.hpp"
 #include "matrix/coo.hpp"
-#include "perf/cpu_model.hpp"
 
 namespace crsd::serve {
 
@@ -60,7 +62,7 @@ using MatrixId = int;
 struct ServeOptions {
   /// Largest SpMM batch one matrix's requests are coalesced into. The
   /// register-blocked engine peaks at 8; 1 disables coalescing entirely
-  /// (every request runs as a single-vector node — bench_serve's baseline).
+  /// (every request runs alone in a k = 1 node — bench_serve's baseline).
   index_t max_batch = 8;
   /// Compute lanes in the dispatch graph; a matrix always runs on lane
   /// id % exec_lanes, so batches sharing one engine's scratch serialize.
@@ -78,19 +80,10 @@ struct ServeOptions {
   /// then illegal). Off = manual mode: the caller pumps drain() itself,
   /// which is what the deterministic bench and most tests want.
   bool async = false;
-  /// Compile a JIT codelet per registered matrix and use it for the k == 1
-  /// fallback path (batches always use the SpMM engine).
-  bool use_jit = false;
   /// Recompute one column of every batch with the single-vector reference
   /// and fail the whole batch (kServeBatchMismatch) on any bitwise
   /// difference — a self-check for the gather/slice plumbing.
   bool verify_batches = false;
-  /// Default each entry's CrsdConfig from the persistent autotune cache
-  /// (keyed by structure hash; a prior autotune run on the same structure
-  /// is reused with zero search).
-  bool tune_from_cache = true;
-  /// Host model behind the virtual-timeline node costs.
-  perf::CpuSystemSpec system;
 };
 
 struct ServeEngineImpl;
@@ -121,7 +114,7 @@ class RequestHandle {
   const std::vector<double>& result() const;
   /// Why the request was rejected or failed. Requires kRejected/kFailed.
   const check::Diagnostic& diagnostic() const;
-  /// Batch size this request was served in (1 = single-vector fallback).
+  /// Batch size this request was served in (1 = served alone).
   /// 0 until resolved.
   index_t served_batch_k() const;
   /// Virtual-timeline completion offset (seconds) of the dispatch cycle
@@ -150,7 +143,7 @@ struct MatrixInfo {
 struct DispatchStats {
   index_t requests = 0;            ///< requests resolved this cycle
   index_t batches = 0;             ///< graph batches with k >= 2
-  index_t singles = 0;             ///< k == 1 fallback nodes
+  index_t singles = 0;             ///< k == 1 nodes
   index_t coalesced_requests = 0;  ///< requests served inside k >= 2 batches
   double makespan_seconds = 0.0;   ///< virtual makespan of the cycle's graph
   double stage_seconds = 0.0;      ///< modeled gather (kH2D) time

@@ -2,16 +2,10 @@
 // hashing, tables.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdlib>
-#include <mutex>
-#include <numeric>
+#include <functional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -66,13 +60,44 @@ TEST(Rng, DoubleIsRoughlyUniform) {
   EXPECT_NEAR(sum / kSamples, 0.5, 0.02);
 }
 
+using LoopFn = std::function<void(index_t, index_t, int)>;
+
+/// The pool's three loop entry points over [0, n): a static range, a plan
+/// with more parts than the pool has threads, and a chunked loop.
+struct EntryPoint {
+  const char* name;
+  std::function<void(ThreadPool&, index_t, const LoopFn&)> run;
+};
+
+std::vector<EntryPoint> entry_points() {
+  return {
+      {"range",
+       [](ThreadPool& pool, index_t n, const LoopFn& fn) {
+         pool.parallel_for(0, n, fn);
+       }},
+      {"plan",
+       [](ThreadPool& pool, index_t n, const LoopFn& fn) {
+         pool.parallel_for(
+             ParallelPlan::static_partition(0, n, 3 * pool.num_threads()),
+             fn);
+       }},
+      {"chunked",
+       [](ThreadPool& pool, index_t n, const LoopFn& fn) {
+         pool.parallel_for_chunked(0, n, 7, fn);
+       }},
+  };
+}
+
 TEST(ThreadPool, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](index_t b, index_t e, int) {
-    for (index_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)]++;
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const EntryPoint& ep : entry_points()) {
+    SCOPED_TRACE(ep.name);
+    std::vector<std::atomic<int>> hits(1000);
+    ep.run(pool, 1000, [&](index_t b, index_t e, int) {
+      for (index_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)]++;
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
@@ -94,17 +119,19 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
 
 TEST(ThreadPool, PropagatesException) {
   ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [&](index_t b, index_t, int) {
-                          if (b == 0) throw Error("boom");
+  for (const EntryPoint& ep : entry_points()) {
+    SCOPED_TRACE(ep.name);
+    // Thrown from a queued task, not the one the caller runs first.
+    EXPECT_THROW(ep.run(pool, 100,
+                        [&](index_t b, index_t e, int) {
+                          if (b <= 60 && 60 < e) throw Error("boom");
                         }),
-      Error);
-  // Pool must stay usable afterwards.
-  std::atomic<int> total{0};
-  pool.parallel_for(0, 10,
-                    [&](index_t b, index_t e, int) { total += e - b; });
-  EXPECT_EQ(total.load(), 10);
+                 Error);
+    // Pool must stay usable afterwards.
+    std::atomic<int> total{0};
+    ep.run(pool, 10, [&](index_t b, index_t e, int) { total += e - b; });
+    EXPECT_EQ(total.load(), 10);
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossManyCalls) {
@@ -117,97 +144,6 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
       sum += local;
     });
     EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
-  }
-}
-
-TEST(ThreadPool, SubmitUrgentRunsAheadOfPendingChunks) {
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool urgent_queued = false;
-  std::atomic<int> parked{0};
-  std::vector<std::string> order;  // guarded by mu
-
-  constexpr index_t kChunks = 12;
-  std::thread runner([&] {
-    pool.parallel_for_chunked(0, kChunks, 1, [&](index_t b, index_t, int) {
-      std::unique_lock<std::mutex> lock(mu);
-      if (b < 2) {
-        // Both claiming threads park on the first two chunks until the
-        // urgent task is queued, so the remaining ten chunks form a
-        // pending train behind it.
-        parked.fetch_add(1);
-        cv.wait(lock, [&] { return urgent_queued; });
-      }
-      order.push_back("chunk" + std::to_string(b));
-    });
-  });
-  while (parked.load() < 2) std::this_thread::yield();
-
-  pool.submit_urgent([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back("urgent");
-  });
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    urgent_queued = true;
-  }
-  cv.notify_all();
-  runner.join();
-  pool.drain_urgent();
-
-  // The two parked chunks record first; the urgent task must be claimed
-  // before the ten queued chunks (one racing chunk record at most).
-  const auto it = std::find(order.begin(), order.end(), "urgent");
-  ASSERT_NE(it, order.end());
-  EXPECT_LE(it - order.begin(), 3);
-  EXPECT_EQ(order.size(), static_cast<std::size_t>(kChunks) + 1);
-}
-
-TEST(ThreadPool, SubmitUrgentRunsInlineOnSingleThreadPool) {
-  ThreadPool pool(1);
-  int ran_on = -1;
-  const auto me = std::this_thread::get_id();
-  std::thread::id urgent_thread;
-  pool.submit_urgent([&] {
-    ran_on = 1;
-    urgent_thread = std::this_thread::get_id();
-  });
-  // No workers exist: the task already ran, inline on the caller.
-  EXPECT_EQ(ran_on, 1);
-  EXPECT_EQ(urgent_thread, me);
-  pool.drain_urgent();  // no-op, must not deadlock
-}
-
-TEST(ThreadPool, UrgentExceptionDoesNotPoisonParallelFor) {
-  ThreadPool pool(2);
-  pool.submit_urgent([] { throw std::runtime_error("urgent boom"); });
-  pool.drain_urgent();
-  // The swallowed urgent failure must not surface as a parallel_for error.
-  std::atomic<int> count{0};
-  pool.parallel_for(0, 100, [&](index_t b, index_t e, int) {
-    count += static_cast<int>(e - b);
-  });
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, UrgentTasksKeepFifoOrder) {
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    pool.submit_urgent([&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    });
-  }
-  pool.drain_urgent();
-  ASSERT_EQ(order.size(), 8u);
-  // A single worker claims from the front; with two workers the claim
-  // order is still FIFO even if completion interleaves, so each element
-  // can sit at most one slot from its submission position.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_LE(std::abs(order[static_cast<std::size_t>(i)] - i), 1);
   }
 }
 

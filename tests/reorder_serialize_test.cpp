@@ -173,47 +173,62 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
 TEST(Serialize, CorruptWordsThrowOrLoadValidContainers) {
   // A band with scatter rows, so the sweep reaches the pattern table, the
   // value streams, and the scatter ELL arrays. Each 4-byte word in turn is
-  // XORed with a seeded nonzero mask.
+  // XORed with a seeded nonzero mask. The sweep runs once per storage mode,
+  // so it also reaches the u16 and varint-delta scatter column decoders and
+  // the f32 value stream.
+  struct Mode {
+    const char* name;
+    StorageOptions storage;
+  };
+  const Mode modes[] = {
+      {"native", {}},
+      {"u16", {ValuePrecision::kNative, true, false}},
+      {"delta", {ValuePrecision::kNative, false, true}},
+      {"f32+delta", {ValuePrecision::kFloat32, false, true}},
+  };
   Rng rng(12);
   auto a = dense_band(256, 2);
   inject_scatter(a, 24, rng);
-  const auto m = build(a, CrsdConfig{.mrows = 32});
-  ASSERT_GT(m.num_scatter_rows(), 0);
-  std::stringstream buf;
-  write_crsd(buf, m);
-  const std::string payload = buf.str();
-
   const std::vector<double> x(static_cast<std::size_t>(a.num_cols()), 0.5);
   std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
-  int thrown = 0;
-  int loaded = 0;
-  for (std::size_t off = 0; off + 4 <= payload.size(); off += 4) {
-    std::uint32_t mask = 0;
-    while (mask == 0) mask = static_cast<std::uint32_t>(rng.next_u64());
-    std::string bad = payload;
-    std::uint32_t word = 0;
-    std::memcpy(&word, bad.data() + off, 4);
-    word ^= mask;
-    std::memcpy(bad.data() + off, &word, 4);
-    std::stringstream in(bad);
-    try {
-      const CrsdMatrix<double> got = read_crsd<double>(in);
-      ++loaded;
-      EXPECT_TRUE(check::validate(got, {.require_scatter_disjoint = false})
-                      .empty())
-          << "word at byte " << off;
-      // Both kernels must stay in bounds on whatever loaded.
-      if (got.num_cols() == a.num_cols() && got.num_rows() == a.num_rows()) {
-        got.spmv(x.data(), y.data());
-        got.spmv_scalar(x.data(), y.data());
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    const auto m = build(a, CrsdConfig{.mrows = 32, .storage = mode.storage});
+    ASSERT_GT(m.num_scatter_rows(), 0);
+    std::stringstream buf;
+    write_crsd(buf, m);
+    const std::string payload = buf.str();
+
+    int thrown = 0;
+    int loaded = 0;
+    for (std::size_t off = 0; off + 4 <= payload.size(); off += 4) {
+      std::uint32_t mask = 0;
+      while (mask == 0) mask = static_cast<std::uint32_t>(rng.next_u64());
+      std::string bad = payload;
+      std::uint32_t word = 0;
+      std::memcpy(&word, bad.data() + off, 4);
+      word ^= mask;
+      std::memcpy(bad.data() + off, &word, 4);
+      std::stringstream in(bad);
+      try {
+        const CrsdMatrix<double> got = read_crsd<double>(in);
+        ++loaded;
+        EXPECT_TRUE(check::validate(got, {.require_scatter_disjoint = false})
+                        .empty())
+            << "word at byte " << off;
+        // Both kernels must stay in bounds on whatever loaded.
+        if (got.num_cols() == a.num_cols() && got.num_rows() == a.num_rows()) {
+          got.spmv(x.data(), y.data());
+          got.spmv_scalar(x.data(), y.data());
+        }
+      } catch (const Error&) {
+        ++thrown;
       }
-    } catch (const Error&) {
-      ++thrown;
     }
+    // Sanity: the sweep exercised both outcomes.
+    EXPECT_GT(thrown, 0);
+    EXPECT_GT(loaded, 0);
   }
-  // Sanity: the sweep exercised both outcomes.
-  EXPECT_GT(thrown, 0);
-  EXPECT_GT(loaded, 0);
 }
 
 class SerializeSuite : public ::testing::TestWithParam<int> {};

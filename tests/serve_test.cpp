@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/build_api.hpp"
@@ -21,6 +23,7 @@
 namespace crsd {
 namespace {
 
+using serve::MatrixId;
 using serve::MatrixInfo;
 using serve::RequestStatus;
 using serve::ServeEngine;
@@ -127,6 +130,12 @@ TEST(Serve, BackpressureRejectsWithDiagnostic) {
         engine.submit(info.id, "tenantB", make_x(a.num_cols(), r));
     (r < 4 ? admitted : shed).push_back(std::move(h));
   }
+  EXPECT_EQ(engine.pending(), 4u);
+  // Malformed requests throw before admission and leave the queue alone.
+  EXPECT_THROW(engine.submit(info.id + 1, "tenantB", make_x(a.num_cols(), 0)),
+               Error);
+  EXPECT_THROW(engine.submit(info.id, "tenantB", make_x(a.num_cols() + 1, 0)),
+               Error);
   EXPECT_EQ(engine.pending(), 4u);
   for (const auto& h : shed) {
     ASSERT_EQ(h.status(), RequestStatus::kRejected);  // resolved immediately
@@ -256,10 +265,9 @@ TEST(Serve, PartialBatchesAndDispatchStats) {
 
 TEST(Serve, JitSingleVectorFallbackParity) {
   ThreadPool pool(2);
-  // max_batch 1 = coalescing off: every request takes the single-vector
-  // path, JIT-compiled when a toolchain is available (bitwise-identical
-  // either way on native storage).
-  ServeEngine engine(pool, ServeOptions{.max_batch = 1, .use_jit = true});
+  // max_batch 1 = coalescing off: every request runs alone as a k = 1
+  // SpmmEngine node, bitwise-identical to the single-vector kernel.
+  ServeEngine engine(pool, ServeOptions{.max_batch = 1});
   const Coo<double> a = test_matrix();
   const MatrixInfo info = engine.register_matrix(a);
 
@@ -403,7 +411,7 @@ TEST(Serve, AsyncSingleRequestFallsBackWithinWindow) {
   const MatrixInfo info = engine.register_matrix(a);
 
   // One lone request: no batch can form, so after the bounded window it is
-  // served on the single-vector urgent path.
+  // flushed through the task graph as a k = 1 batch.
   serve::RequestHandle h =
       engine.submit(info.id, "tenantF", make_x(a.num_cols(), 3));
   h.wait();
@@ -416,6 +424,43 @@ TEST(Serve, AsyncSingleRequestFallsBackWithinWindow) {
   std::vector<double> ref(static_cast<std::size_t>(a.num_rows()));
   m.spmv(x.data(), ref.data());
   EXPECT_TRUE(bitwise_equal(h.result(), ref));
+}
+
+TEST(Serve, AsyncShutdownFlushesLoneRequestsAndFullBatches) {
+  // Two matrices, lone requests and a full batch inside one coalescing
+  // window, and the engine destroyed right after the last submit: the
+  // shutdown flush must serve every request before the registry goes.
+  ThreadPool pool(2);
+  auto engine = std::make_unique<ServeEngine>(
+      pool, ServeOptions{.max_batch = 8,
+                         .coalescing_window_us = 20000,
+                         .async = true});
+  Rng rng(5);
+  Coo<double> b = dense_band(160, 3);
+  inject_scatter(b, 24, rng);
+  const Coo<double> a = test_matrix();
+  const MatrixId ids[] = {engine->register_matrix(a).id,
+                          engine->register_matrix(b).id};
+  ASSERT_NE(ids[0], ids[1]);
+
+  // One request for b, nine for a (a full batch plus a lone leftover),
+  // then a second one for b; request i uses seed i.
+  const int which[] = {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1};
+  std::vector<std::vector<double>> refs;
+  std::vector<serve::RequestHandle> handles;
+  for (int i = 0; i < 11; ++i) {
+    const CrsdMatrix<double>& m = engine->matrix(ids[which[i]]);
+    std::vector<double> x = make_x(m.num_cols(), i);
+    refs.emplace_back(static_cast<std::size_t>(m.num_rows()));
+    m.spmv_scalar(x.data(), refs.back().data());
+    handles.push_back(engine->submit(ids[which[i]], "tenantS", std::move(x)));
+  }
+  engine.reset();
+
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    ASSERT_EQ(handles[i].status(), RequestStatus::kDone) << "request " << i;
+    EXPECT_TRUE(bitwise_equal(handles[i].result(), refs[i])) << "request " << i;
+  }
 }
 
 }  // namespace
