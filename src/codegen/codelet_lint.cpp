@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <regex>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codegen/crsd_codegen.hpp"
@@ -75,103 +74,193 @@ void emit(std::vector<Diagnostic>& out, Code code, std::int64_t line_no,
   out.push_back(std::move(d));
 }
 
-std::vector<std::string> split_lines(const std::string& source) {
-  std::vector<std::string> lines;
-  std::istringstream is(source);
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(line);
-  return lines;
+/// Calls fn(line, 1-based line number) for every '\n'-separated line.
+template <typename Fn>
+void for_each_line(std::string_view source, Fn&& fn) {
+  std::int64_t line_no = 0;
+  for (std::size_t pos = 0; pos < source.size();) {
+    const std::size_t end = std::min(source.find('\n', pos), source.size());
+    fn(source.substr(pos, end - pos), ++line_no);
+    pos = end + 1;
+  }
 }
 
 std::string ordinal(std::size_t pattern, std::int64_t value) {
-  std::ostringstream os;
-  os << "pattern " << pattern << ": " << value;
-  return os.str();
+  return "pattern " + std::to_string(pattern) + ": " + std::to_string(value);
+}
+
+// --- The scanner. Every line the lint reads is one of the generators'
+// fixed shapes: literal text with decimal constants in known places. A
+// shape is written as that text with %d standing for an integer that may
+// carry a '-' and %u for one that may not; it matches at the leftmost place
+// in a line where all of it fits. ---
+
+constexpr std::size_t npos = std::string_view::npos;
+
+/// Consumes a decimal integer at line[pos], with a leading '-' if `sign`.
+bool eat_int(std::string_view line, std::size_t& pos, std::int64_t& value,
+             bool sign) {
+  std::size_t p = pos;
+  const bool neg = sign && p < line.size() && line[p] == '-';
+  if (neg) ++p;
+  const std::size_t first = p;
+  std::int64_t v = 0;
+  for (; p < line.size() && line[p] >= '0' && line[p] <= '9'; ++p) {
+    if (p - first == 18) return false;  // no baked constant is this long
+    v = v * 10 + (line[p] - '0');
+  }
+  if (p == first) return false;
+  value = neg ? -v : v;
+  pos = p;
+  return true;
+}
+
+/// Matches `shape` at line[pos]; on a match its integers go to out[0],
+/// out[1], ... and pos moves past it.
+bool match_at(std::string_view line, std::size_t& pos, std::string_view shape,
+              std::int64_t* out = nullptr) {
+  std::size_t p = pos;
+  for (std::size_t s = 0; s < shape.size(); ++s) {
+    if (shape[s] == '%') {
+      if (!eat_int(line, p, *out++, shape[++s] == 'd')) return false;
+    } else if (p < line.size() && line[p] == shape[s]) {
+      ++p;
+    } else {
+      return false;
+    }
+  }
+  pos = p;
+  return true;
+}
+
+/// Start of the leftmost match of `shape` in `line` at or after `from`
+/// (npos if none); its integers go to `out`.
+std::size_t find_shape(std::string_view line, std::string_view shape,
+                       std::int64_t* out, std::size_t from = 0) {
+  const std::string_view head = shape.substr(0, shape.find('%'));
+  for (std::size_t at = line.find(head, from); at != npos;
+       at = line.find(head, at + 1)) {
+    std::size_t pos = at;
+    if (match_at(line, pos, shape, out)) return at;
+  }
+  return npos;
+}
+
+/// Literal lane trip count of `line`: a lane loop's bound, else the extent
+/// of the first sums/xg/targets lane array.
+bool lane_extent(std::string_view line, std::int64_t& trip) {
+  if (find_shape(line, "for (std::int32_t lane = 0; lane < %u; ++lane)",
+                 &trip) != npos) {
+    return true;
+  }
+  std::size_t first = npos;
+  for (std::string_view array : {"sums[%u]", "xg[%u]", "targets[%u]"}) {
+    std::int64_t v = 0;
+    const std::size_t at = find_shape(line, array, &v);
+    if (at < first) {
+      first = at;
+      trip = v;
+    }
+  }
+  return first != npos;
+}
+
+bool is_ident_start(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+/// Calls fn(base, offset) for every x-stream access in `line`, left to
+/// right: x[r], x[r + 5], x[(row0 + lane) - 3], xx[lane + 2], xx[i + -4],
+/// and the SpMM codelets' per-RHS streams xx0[lane + 2] / xk1[r - 3]. The
+/// stream name is x plus lowercase letters and digits, does not continue an
+/// identifier and is not xbuf; accesses do not overlap. Clamped accesses
+/// (x[crsd_clampi(...)]) are the column-clamp rule's.
+template <typename Fn>
+void for_each_x_access(std::string_view line, Fn&& fn) {
+  std::size_t done = 0;  // end of the previous access
+  for (std::size_t at = line.find('x'); at != npos;
+       at = line.find('x', at + 1)) {
+    if (at > 0 && (at - 1 < done || is_ident_start(line[at - 1]))) continue;
+    if (line.substr(at + 1).starts_with("buf")) continue;
+    std::size_t pos = line.find_first_not_of(
+        "abcdefghijklmnopqrstuvwxyz0123456789", at + 1);
+    if (pos == npos || line[pos++] != '[') continue;
+    for (const char* base : {"r", "i", "lane", "(row0 + lane)"}) {
+      std::int64_t up = 0, down = 0;
+      if (match_at(line, pos, std::string(base) + "]") ||
+          match_at(line, pos, std::string(base) + " + %d]", &up) ||
+          match_at(line, pos, std::string(base) + " - %d]", &down)) {
+        fn(base, up - down);
+        done = pos;
+        break;
+      }
+    }
+  }
 }
 
 /// Shared per-line checks: literal lane loops / lane-array extents must use
 /// mrows, column clamps must use num_cols-1, baked x offsets must be live
 /// diagonals of the current pattern (and in range when unclamped).
-class LineChecker {
- public:
-  LineChecker(const LintMeta& meta, std::vector<Diagnostic>& out)
-      : meta_(meta), out_(out),
-        lane_loop_(R"(for \(std::int32_t lane = 0; lane < (\d+); \+\+lane\))"),
-        lane_array_(R"((?:sums|xg|targets)\[(\d+)\])"),
-        col_clamp_(R"(crsd_clampi\([^,]*, 0, (-?\d+)\))"),
-        // x[r], x[r + 5], x[(row0 + lane) - 3], xx[lane + 2], xx[i + -4],
-        // and the SpMM codelets' per-RHS streams xx0[lane + 2] / xk[r - 3] —
-        // but not x[crsd_clampi(...)] (handled by col_clamp_) or xbuf reads.
-        x_access_(R"((?:^|[^a-zA-Z_])(x(?!buf)[a-z0-9]*)\[(r|i|lane|\(row0 \+ lane\))(?: ([+-]) (-?\d+))?\])") {}
-
-  void check(const std::string& line, std::int64_t line_no,
-             std::int64_t pattern, const DiagonalPattern* pat) {
-    std::smatch sm;
-    if (std::regex_search(line, sm, lane_loop_) ||
-        std::regex_search(line, sm, lane_array_)) {
-      const std::int64_t trip = std::stoll(sm[1]);
-      if (trip != meta_.mrows) {
-        std::ostringstream os;
-        os << "literal lane trip count " << trip << " != mrows ("
-           << meta_.mrows << ")";
-        emit(out_, Code::kLintTripCount, line_no, os.str());
-      }
+void check_line(const LintMeta& meta, std::string_view line,
+                std::int64_t line_no, std::int64_t pattern,
+                const DiagonalPattern* pat, std::vector<Diagnostic>& out) {
+  std::int64_t trip = 0;
+  if (lane_extent(line, trip) && trip != meta.mrows) {
+    emit(out, Code::kLintTripCount, line_no,
+         "literal lane trip count " + std::to_string(trip) + " != mrows (" +
+             std::to_string(meta.mrows) + ")");
+  }
+  // Column clamps, crsd_clampi(<expr without a comma>, 0, <hi>).
+  for (std::size_t at = line.find("crsd_clampi("); at != npos;
+       at = line.find("crsd_clampi(", at + 1)) {
+    std::size_t pos = line.find(',', at);
+    std::int64_t hi = 0;
+    if (pos == npos || !match_at(line, pos, ", 0, %d)", &hi)) continue;
+    if (hi != meta.num_cols - 1) {
+      emit(out, Code::kLintBakedOffset, line_no,
+           "column clamp upper bound " + std::to_string(hi) +
+               " != num_cols-1 (" + std::to_string(meta.num_cols - 1) + ")");
     }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), col_clamp_);
-         it != std::sregex_iterator(); ++it) {
-      const std::int64_t hi = std::stoll((*it)[1]);
-      if (hi != meta_.num_cols - 1) {
-        std::ostringstream os;
-        os << "column clamp upper bound " << hi << " != num_cols-1 ("
-           << meta_.num_cols - 1 << ")";
-        emit(out_, Code::kLintBakedOffset, line_no, os.str());
-      }
-    }
-    if (pat == nullptr) return;
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), x_access_);
-         it != std::sregex_iterator(); ++it) {
-      const std::smatch& xm = *it;
-      std::int64_t off = 0;
-      if (xm[4].matched) {
-        off = std::stoll(xm[4]);
-        if (xm[3] == "-") off = -off;
-      }
-      const std::string base = xm[2];
-      if (base == "i") {
-        // AD-group staging copy: xbuf[i] = xx[i + first]; `first` must be a
-        // live diagonal (the group's first offset).
-        if (!offset_is_live(*pat, off)) {
-          emit(out_, Code::kLintBakedOffset, line_no,
-               "staged x window starts at offset " + std::to_string(off) +
-                   ", not a live diagonal of " +
-                   ordinal(static_cast<std::size_t>(pattern), off));
-        }
-        continue;
-      }
+    at = pos - 1;  // the next clamp starts after this one
+  }
+  if (pat == nullptr) return;
+  for_each_x_access(line, [&](std::string_view base, std::int64_t off) {
+    if (base == "i") {
+      // AD-group staging copy: xbuf[i] = xx[i + first]; `first` must be a
+      // live diagonal (the group's first offset).
       if (!offset_is_live(*pat, off)) {
-        emit(out_, Code::kLintBakedOffset, line_no,
-             "baked x offset " + std::to_string(off) +
-                 " is not a live diagonal of pattern " +
-                 std::to_string(pattern));
-      } else if ((base == "r" || base == "(row0 + lane)") &&
-                 !offset_in_range(meta_, *pat, off)) {
-        // Unclamped row-relative access: legal only when provably in range.
-        emit(out_, Code::kLintBakedOffset, line_no,
-             "unclamped x access at offset " + std::to_string(off) +
-                 " can leave [0, num_cols) for pattern " +
-                 std::to_string(pattern));
+        emit(out, Code::kLintBakedOffset, line_no,
+             "staged x window starts at offset " + std::to_string(off) +
+                 ", not a live diagonal of " +
+                 ordinal(static_cast<std::size_t>(pattern), off));
       }
+    } else if (!offset_is_live(*pat, off)) {
+      emit(out, Code::kLintBakedOffset, line_no,
+           "baked x offset " + std::to_string(off) +
+               " is not a live diagonal of pattern " +
+               std::to_string(pattern));
+    } else if ((base == "r" || base == "(row0 + lane)") &&
+               !offset_in_range(meta, *pat, off)) {
+      // Unclamped row-relative access: legal only when provably in range.
+      emit(out, Code::kLintBakedOffset, line_no,
+           "unclamped x access at offset " + std::to_string(off) +
+               " can leave [0, num_cols) for pattern " +
+               std::to_string(pattern));
+    }
+  });
+}
+
+/// Flags every pattern the scan never saw in the generated `where`.
+void report_unseen(const std::vector<bool>& seen, const std::string& where,
+                   std::vector<Diagnostic>& out) {
+  for (std::size_t p = 0; p < seen.size(); ++p) {
+    if (!seen[p]) {
+      emit(out, Code::kLintPatternDispatch, -1,
+           "pattern " + std::to_string(p) + " is missing from the generated " +
+               where);
     }
   }
-
- private:
-  const LintMeta& meta_;
-  std::vector<Diagnostic>& out_;
-  std::regex lane_loop_;
-  std::regex lane_array_;
-  std::regex col_clamp_;
-  std::regex x_access_;
-};
+}
 
 /// Per-line structural checks shared by the SpMV and SpMM CPU codelets:
 /// markers, segment/interior bound clamps, trip counts, baked offsets.
@@ -181,86 +270,74 @@ void lint_cpu_body(const LintMeta& meta, const std::string& source,
                    std::vector<Diagnostic>& out) {
   const auto& patterns = *meta.patterns;
   const auto& cum = *meta.cum_segments;
-  const std::regex marker(
-      R"(// pattern (\d+): .*segments \[(-?\d+), (-?\d+)\), interior \[(-?\d+), (-?\d+)\))");
-  const std::regex g0_line(R"(g0 = seg_begin > (-?\d+))");
-  const std::regex g1_line(R"(g1 = seg_end < (-?\d+))");
-  const std::regex i0_line(R"(i0 = crsd_clampi\((-?\d+), g0, g1\))");
-  const std::regex i1_line(R"(i1 = crsd_clampi\((-?\d+), i0, g1\))");
-
-  LineChecker checker(meta, out);
   std::vector<bool> seen(patterns.size(), false);
   std::int64_t cur = -1;  // pattern the scanner is inside
-  const std::vector<std::string> lines = split_lines(source);
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const std::string& line = lines[li];
-    const std::int64_t line_no = static_cast<std::int64_t>(li) + 1;
-    std::smatch sm;
-    if (std::regex_search(line, sm, marker)) {
-      cur = std::stoll(sm[1]);
-      if (cur < 0 || cur >= static_cast<std::int64_t>(patterns.size())) {
+  for_each_line(source, [&](std::string_view line, std::int64_t line_no) {
+    // The pattern marker: `// pattern <p>: ... segments [<s0>, <s1>),
+    // interior [<i0>, <i1>)`, fields {p, s0, s1, i0, i1}.
+    std::int64_t f[5];
+    const std::size_t at = find_shape(line, "// pattern %u: ", f);
+    if (at != npos &&
+        find_shape(line, "segments [%d, %d), interior [%d, %d)", f + 1, at) !=
+            npos) {
+      cur = f[0];
+      if (cur >= static_cast<std::int64_t>(patterns.size())) {
         emit(out, Code::kLintPatternDispatch, line_no,
              "marker names pattern " + std::to_string(cur) +
                  " but the container has " + std::to_string(patterns.size()));
         cur = -1;
-        continue;
+        return;
       }
-      seen[static_cast<std::size_t>(cur)] = true;
       const std::size_t p = static_cast<std::size_t>(cur);
-      if (std::stoll(sm[2]) != cum[p] || std::stoll(sm[3]) != cum[p + 1]) {
+      seen[p] = true;
+      if (f[1] != cum[p] || f[2] != cum[p + 1]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "marker segment range [" + sm[2].str() + ", " + sm[3].str() +
-                 ") != container's [" + std::to_string(cum[p]) + ", " +
-                 std::to_string(cum[p + 1]) + ") for pattern " +
-                 std::to_string(cur));
+             "marker segment range [" + std::to_string(f[1]) + ", " +
+                 std::to_string(f[2]) + ") != container's [" +
+                 std::to_string(cum[p]) + ", " + std::to_string(cum[p + 1]) +
+                 ") for pattern " + std::to_string(cur));
       }
-      if (std::stoll(sm[4]) != meta.interior[p].begin ||
-          std::stoll(sm[5]) != meta.interior[p].end) {
+      if (f[3] != meta.interior[p].begin || f[4] != meta.interior[p].end) {
         emit(out, Code::kLintInteriorSplit, line_no,
-             "marker interior [" + sm[4].str() + ", " + sm[5].str() +
-                 ") != pattern_interior_segments' [" +
+             "marker interior [" + std::to_string(f[3]) + ", " +
+                 std::to_string(f[4]) + ") != pattern_interior_segments' [" +
                  std::to_string(meta.interior[p].begin) + ", " +
                  std::to_string(meta.interior[p].end) + ") for pattern " +
                  std::to_string(cur));
       }
-      continue;
+      return;
     }
     const DiagonalPattern* pat =
         cur >= 0 ? &patterns[static_cast<std::size_t>(cur)] : nullptr;
     if (cur >= 0) {
       const std::size_t p = static_cast<std::size_t>(cur);
-      if (std::regex_search(line, sm, g0_line) && std::stoll(sm[1]) != cum[p]) {
+      std::int64_t v = 0;
+      if (find_shape(line, "g0 = seg_begin > %d", &v) != npos && v != cum[p]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "segment lower bound is " + ordinal(p, std::stoll(sm[1])) +
+             "segment lower bound is " + ordinal(p, v) +
                  ", container expects " + std::to_string(cum[p]));
-      } else if (std::regex_search(line, sm, g1_line) &&
-                 std::stoll(sm[1]) != cum[p + 1]) {
+      } else if (find_shape(line, "g1 = seg_end < %d", &v) != npos &&
+                 v != cum[p + 1]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "segment upper bound is " + ordinal(p, std::stoll(sm[1])) +
+             "segment upper bound is " + ordinal(p, v) +
                  ", container expects " + std::to_string(cum[p + 1]));
-      } else if (std::regex_search(line, sm, i0_line) &&
-                 std::stoll(sm[1]) != meta.interior[p].begin) {
+      } else if (find_shape(line, "i0 = crsd_clampi(%d, g0, g1)", &v) != npos &&
+                 v != meta.interior[p].begin) {
         emit(out, Code::kLintInteriorSplit, line_no,
-             "interior begin is " + ordinal(p, std::stoll(sm[1])) +
+             "interior begin is " + ordinal(p, v) +
                  ", pattern_interior_segments gives " +
                  std::to_string(meta.interior[p].begin));
-      } else if (std::regex_search(line, sm, i1_line) &&
-                 std::stoll(sm[1]) != meta.interior[p].end) {
+      } else if (find_shape(line, "i1 = crsd_clampi(%d, i0, g1)", &v) != npos &&
+                 v != meta.interior[p].end) {
         emit(out, Code::kLintInteriorSplit, line_no,
-             "interior end is " + ordinal(p, std::stoll(sm[1])) +
+             "interior end is " + ordinal(p, v) +
                  ", pattern_interior_segments gives " +
                  std::to_string(meta.interior[p].end));
       }
     }
-    checker.check(line, line_no, cur, pat);
-  }
-  for (std::size_t p = 0; p < seen.size(); ++p) {
-    if (!seen[p]) {
-      emit(out, Code::kLintPatternDispatch, -1,
-           "pattern " + std::to_string(p) +
-               " is missing from the generated source");
-    }
-  }
+    check_line(meta, line, line_no, cur, pat, out);
+  });
+  report_unseen(seen, "source", out);
 }
 
 /// Storage-mode checks for compact-storage codelets (the SpMV CPU generator
@@ -281,45 +358,44 @@ void lint_storage_modes(const LintMeta& meta, const std::string& source,
                         std::vector<Diagnostic>& out) {
   if (meta.value_precision == ValuePrecision::kFloat16) {
     if (source.find("static inline float crsd_h2f(VT h)") ==
-            std::string::npos ||
+            npos ||
         source.find("struct VT { std::uint16_t bits; };") ==
-            std::string::npos) {
+            npos) {
       emit(out, Code::kLintHalfDecoder, -1,
            "f16 storage but the crsd_h2f binary16 decoder is missing");
     }
-    const std::regex val_product(R"(\+= .*(?:unit|scatter_val)\[)");
-    const std::vector<std::string> lines = split_lines(source);
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      if (std::regex_search(lines[li], val_product) &&
-          lines[li].find("crsd_h2f(") == std::string::npos) {
-        emit(out, Code::kLintHalfDecoder,
-             static_cast<std::int64_t>(li) + 1,
+    for_each_line(source, [&](std::string_view line, std::int64_t line_no) {
+      // An accumulation (`+= `) that reads a value stream after it.
+      const std::size_t acc = line.find("+= ");
+      if (acc != npos &&
+          (line.find("unit[", acc + 3) != npos ||
+           line.find("scatter_val[", acc + 3) != npos) &&
+          line.find("crsd_h2f(") == npos) {
+        emit(out, Code::kLintHalfDecoder, line_no,
              "f16 value stream accumulated without the crsd_h2f decode");
       }
-    }
+    });
   }
   if (meta.scol_mode == ScatterIndexMode::kDelta &&
       meta.num_scatter_rows > 0) {
     if (source.find("const std::int32_t end = row_bytes[i + 1];") ==
-            std::string::npos ||
-        source.find("while (pos < end)") == std::string::npos) {
+            npos ||
+        source.find("while (pos < end)") == npos) {
       emit(out, Code::kLintDeltaGuard, -1,
            "delta scatter columns but the per-row byte range "
            "[row_bytes[i], row_bytes[i+1]) does not bound the decode loop");
     }
     bool guarded = false;
-    const std::vector<std::string> lines = split_lines(source);
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      const std::string& line = lines[li];
-      if (line.find("byte & 0x80u") == std::string::npos) continue;
-      if (line.find("(byte & 0x80u) && pos < end") != std::string::npos) {
+    for_each_line(source, [&](std::string_view line, std::int64_t line_no) {
+      if (line.find("byte & 0x80u") == npos) return;
+      if (line.find("(byte & 0x80u) && pos < end") != npos) {
         guarded = true;
-      } else if (line.find("while") != std::string::npos) {
-        emit(out, Code::kLintDeltaGuard, static_cast<std::int64_t>(li) + 1,
+      } else if (line.find("while") != npos) {
+        emit(out, Code::kLintDeltaGuard, line_no,
              "varint continuation loop lacks the byte-range guard "
              "(`&& pos < end`); a truncated stream would read past the row");
       }
-    }
+    });
     if (!guarded) {
       emit(out, Code::kLintDeltaGuard, -1,
            "guarded varint decode loop "
@@ -334,7 +410,7 @@ void expect_entry_points(const std::string& source, const std::string& stem,
                          std::vector<Diagnostic>& out) {
   for (const char* suffix : suffixes) {
     const std::string decl = "extern \"C\" void " + stem + suffix + "(";
-    if (source.find(decl) == std::string::npos) {
+    if (source.find(decl) == npos) {
       emit(out, Code::kLintMissingSymbol, -1,
            "expected entry point " + stem + suffix + " not found");
     }
@@ -362,7 +438,7 @@ std::vector<Diagnostic> lint_cpu_spmm(const LintMeta& meta,
     // vectors to the unrolled accumulators.
     const std::string marker =
         "// rhs_block " + std::to_string(rhs) + " vectors";
-    if (source.find(marker) == std::string::npos) {
+    if (source.find(marker) == npos) {
       emit(out, Code::kLintMissingSymbol, -1,
            "register-block marker \"" + marker + "\" not found");
     }
@@ -379,45 +455,33 @@ std::vector<Diagnostic> lint_gpu(const LintMeta& meta,
 
   const auto& patterns = *meta.patterns;
   const auto& cum = *meta.cum_segments;
-  const std::regex dispatch(R"(if \(group_id < (-?\d+)\) \{  // pattern (\d+):)");
-
-  LineChecker checker(meta, out);
   std::vector<bool> seen(patterns.size(), false);
   std::int64_t cur = -1;
-  const std::vector<std::string> lines = split_lines(source);
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const std::string& line = lines[li];
-    const std::int64_t line_no = static_cast<std::int64_t>(li) + 1;
-    std::smatch sm;
-    if (std::regex_search(line, sm, dispatch)) {
-      cur = std::stoll(sm[2]);
-      if (cur < 0 || cur >= static_cast<std::int64_t>(patterns.size())) {
+  for_each_line(source, [&](std::string_view line, std::int64_t line_no) {
+    std::int64_t v[2];  // {bound, pattern}
+    if (find_shape(line, "if (group_id < %d) {  // pattern %u:", v) != npos) {
+      cur = v[1];
+      if (cur >= static_cast<std::int64_t>(patterns.size())) {
         emit(out, Code::kLintPatternDispatch, line_no,
              "dispatch names pattern " + std::to_string(cur) +
                  " but the container has " + std::to_string(patterns.size()));
         cur = -1;
-        continue;
+        return;
       }
       const std::size_t p = static_cast<std::size_t>(cur);
       seen[p] = true;
-      if (std::stoll(sm[1]) != cum[p + 1]) {
+      if (v[0] != cum[p + 1]) {
         emit(out, Code::kLintPatternDispatch, line_no,
-             "dispatch bound is " + ordinal(p, std::stoll(sm[1])) +
+             "dispatch bound is " + ordinal(p, v[0]) +
                  ", container expects " + std::to_string(cum[p + 1]));
       }
-      continue;
+      return;
     }
     const DiagonalPattern* pat =
         cur >= 0 ? &patterns[static_cast<std::size_t>(cur)] : nullptr;
-    checker.check(line, line_no, cur, pat);
-  }
-  for (std::size_t p = 0; p < seen.size(); ++p) {
-    if (!seen[p]) {
-      emit(out, Code::kLintPatternDispatch, -1,
-           "pattern " + std::to_string(p) +
-               " is missing from the generated dispatch chain");
-    }
-  }
+    check_line(meta, line, line_no, cur, pat, out);
+  });
+  report_unseen(seen, "dispatch chain", out);
   return out;
 }
 

@@ -3,7 +3,8 @@
 // the instruction stream (constant trip counts, immediate column offsets,
 // pattern dispatch bounds, the interior/edge split); this pass re-derives
 // each baked constant from the container and checks the emitted text against
-// it. A generator bug — or a codelet reused for a structurally different
+// it, scanning each line for the generators' fixed literal shapes with plain
+// string matching. A generator bug — or a codelet reused for a structurally different
 // matrix — surfaces as a precise diagnostic here, before any compile, and
 // the lint-gated JIT factories (make_jit_kernel with Checked::kYes, the
 // default) fall back to the interpreted kernel instead of running a

@@ -21,27 +21,24 @@ struct Meta {
   index_t num_scatter_rows = 0;
   index_t scatter_width = 0;
   const char* type_name = "double";
-  /// Storage mode of the matrix the codelet is generated for. Native
-  /// fp64/fp32 + i32 storage emits the historical source byte for byte;
-  /// compact modes switch the value/column stream parameters to a raw
-  /// void* ABI and widen loads into double accumulators.
+  /// Storage mode of the matrix the codelet is generated for: it fixes the
+  /// element types behind the CPU codelet's void* value/column streams, and
+  /// compact values widen into double accumulators.
   ValuePrecision value_precision = ValuePrecision::kNative;
   ScatterIndexMode scol_mode = ScatterIndexMode::kIndex32;
 };
 
 std::string itos(std::int64_t v) { return std::to_string(v); }
 
-/// Text-generation policy derived from the storage mode: which type names
-/// the value stream and accumulators use, and how a value load / multiply /
-/// store line is spelled. The native policy reproduces the historical text
-/// exactly (vt/at collapse to "T", term() is the bare product).
+/// Text-generation policy derived from the storage mode: which type name
+/// the accumulators use, and how a value load / multiply / store line is
+/// spelled. Value streams are always typed `VT`, which native storage
+/// aliases to `T`; there at() is "T" and term() is the bare product.
 struct StorageCtx {
-  bool raw = false;    ///< non-native storage: void* stream parameters
   bool widen = false;  ///< compact values: accumulate in double
   bool half = false;   ///< f16 storage: decode bits on load
   ScatterIndexMode scol_mode = ScatterIndexMode::kIndex32;
 
-  const char* vt() const { return raw ? "VT" : "T"; }
   const char* at() const { return widen ? "AT" : "T"; }
   std::string load(const std::string& val_expr) const {
     return half ? "crsd_h2f(" + val_expr + ")" : val_expr;
@@ -58,8 +55,6 @@ struct StorageCtx {
 
 StorageCtx make_storage_ctx(const Meta& meta) {
   StorageCtx sc;
-  sc.raw = meta.value_precision != ValuePrecision::kNative ||
-           meta.scol_mode != ScatterIndexMode::kIndex32;
   sc.widen = meta.value_precision != ValuePrecision::kNative;
   sc.half = meta.value_precision == ValuePrecision::kFloat16;
   sc.scol_mode = meta.scol_mode;
@@ -111,14 +106,22 @@ bool offset_in_range(const Meta& meta, const DiagonalPattern& p,
          static_cast<std::int64_t>(last_row) + off <= meta.num_cols - 1;
 }
 
+/// `var` shifted by a diagonal offset: "lane", "lane + 3", "r - 2".
+std::string shifted(const std::string& var, diag_offset_t off) {
+  if (off == 0) return var;
+  return var + (off > 0 ? " + " + itos(off) : " - " + itos(-std::int64_t{off}));
+}
+
+/// The x-stream read of diagonal `off` at row `row_var`, through `base`
+/// ("x", or an SpMM per-RHS stream), clamped unless provably in range.
 std::string x_index_expr(const Meta& meta, const DiagonalPattern& p,
-                         diag_offset_t off, const std::string& row_var) {
-  const std::string shifted =
-      off == 0 ? row_var
-                : row_var + (off > 0 ? " + " + itos(off)
-                                     : " - " + itos(-std::int64_t{off}));
-  if (offset_in_range(meta, p, off)) return "x[" + shifted + "]";
-  return "x[crsd_clampi(" + shifted + ", 0, " + itos(meta.num_cols - 1) + ")]";
+                         diag_offset_t off, const std::string& row_var,
+                         const std::string& base = "x") {
+  if (offset_in_range(meta, p, off)) {
+    return base + "[" + shifted(row_var, off) + "]";
+  }
+  return base + "[crsd_clampi(" + shifted(row_var, off) + ", 0, " +
+         itos(meta.num_cols - 1) + ")]";
 }
 
 /// Emits the scalar clamped per-lane body for one segment `g` of pattern
@@ -127,7 +130,7 @@ void emit_cpu_edge_segment_body(CodeWriter& w, const Meta& meta,
                                 const DiagonalPattern& p, index_t seg0,
                                 size64_t base, size64_t slots,
                                 const StorageCtx& sc) {
-  w.line("const " + std::string(sc.vt()) + "* unit = dia_val + " +
+  w.line("const VT* unit = dia_val + " +
          itos(static_cast<std::int64_t>(base)) +
          "ull + static_cast<std::uint64_t>(g - " + itos(seg0) + ") * " +
          itos(static_cast<std::int64_t>(slots)) + "ull;");
@@ -166,7 +169,7 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
                             const StorageCtx& sc) {
   const index_t m = meta.mrows;
   w.open("for (std::int32_t g = i0; g < i1; ++g)");
-  w.line("const " + std::string(sc.vt()) + "* CRSD_RESTRICT unit = dia_val + " +
+  w.line("const VT* CRSD_RESTRICT unit = dia_val + " +
          itos(static_cast<std::int64_t>(base)) +
          "ull + static_cast<std::uint64_t>(g - " + itos(seg0) + ") * " +
          itos(static_cast<std::int64_t>(slots)) + "ull;");
@@ -211,15 +214,11 @@ void emit_cpu_interior_loop(CodeWriter& w, const Meta& meta,
       for (index_t gd = 0; gd < grp.num_diagonals; ++gd) {
         const index_t d = grp.first_diagonal + gd;
         const diag_offset_t off = p.offsets[static_cast<std::size_t>(d)];
-        const std::string xoff =
-            off == 0 ? "lane"
-                     : (off > 0 ? "lane + " + itos(off)
-                                : "lane - " + itos(-std::int64_t{off}));
         w.open("for (std::int32_t lane = 0; lane < " + itos(m) + "; ++lane)");
         w.line(target + " " + std::string(init ? "=" : "+=") + " " +
                sc.term("unit[lane + " + itos(static_cast<std::int64_t>(d) * m) +
                            "]",
-                       "xx[" + xoff + "]") +
+                       "xx[" + shifted("lane", off) + "]") +
                ";");
         w.close();
         init = false;
@@ -286,18 +285,12 @@ void emit_cpu_pattern_dispatch(CodeWriter& w, const Meta& meta,
 }
 
 void emit_cpu_diag(CodeWriter& w, const Meta& meta, const StorageCtx& sc) {
-  if (sc.raw) {
-    // Compact storage: the value stream travels as an untyped pointer (the
-    // host passes the active stream's data()), typed here once.
-    w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
-           "_diag(const void* dia_stream, const T* x, T* y, "
-           "std::int32_t seg_begin, std::int32_t seg_end)");
-    w.line("const VT* dia_val = (const VT*)dia_stream;");
-  } else {
-    w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
-           "_diag(const T* dia_val, const T* x, T* y, std::int32_t seg_begin, "
-           "std::int32_t seg_end)");
-  }
+  // The value stream travels as an untyped pointer (the host passes the
+  // active stream's data()), typed here once.
+  w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
+         "_diag(const void* dia_stream, const T* x, T* y, "
+         "std::int32_t seg_begin, std::int32_t seg_end)");
+  w.line("const VT* dia_val = (const VT*)dia_stream;");
   emit_cpu_pattern_dispatch(
       w, meta,
       [&](const DiagonalPattern& p, index_t seg0, size64_t base,
@@ -312,40 +305,8 @@ void emit_cpu_diag(CodeWriter& w, const Meta& meta, const StorageCtx& sc) {
 }
 
 void emit_cpu_scatter(CodeWriter& w, const Meta& meta, const StorageCtx& sc) {
-  if (!sc.raw) {
-    w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
-           "_scatter(const T* scatter_val, const std::int32_t* scatter_col, "
-           "const std::int32_t* scatter_rowno, const T* x, T* y, "
-           "std::int32_t row_begin, std::int32_t row_end)");
-    if (meta.num_scatter_rows == 0) {
-      w.line("(void)scatter_val; (void)scatter_col; (void)scatter_rowno;");
-      w.line("(void)x; (void)y; (void)row_begin; (void)row_end;");
-    } else {
-      const index_t nsr = meta.num_scatter_rows;
-      w.line("const std::int32_t i0 = row_begin < 0 ? 0 : row_begin;");
-      w.line("const std::int32_t i1 = row_end > " + itos(nsr) + " ? " +
-             itos(nsr) + " : row_end;");
-      w.open("for (std::int32_t i = i0; i < i1; ++i)");
-      w.line("T sum = T(0);");
-      for (index_t k = 0; k < meta.scatter_width; ++k) {
-        const std::string slot =
-            "i + " + itos(static_cast<std::int64_t>(k) * nsr);
-        w.open("");
-        w.line("const std::int32_t c = scatter_col[" + slot + "];");
-        w.line("if (c >= 0) sum += scatter_val[" + slot + "] * x[c];");
-        w.close();
-      }
-      w.line(
-          "y[scatter_rowno[i]] = sum;  // overwrite after the diagonal phase");
-      w.close();
-    }
-    w.close();
-    return;
-  }
-
-  // Raw-ABI scatter for compact storage: the value stream and the column
-  // representation travel untyped; delta mode additionally carries the
-  // per-row byte offsets in the aux pointer.
+  // The value stream and the column representation travel untyped; delta
+  // mode additionally carries the per-row byte offsets in the aux pointer.
   w.open(std::string("extern \"C\" void ") + kCpuCodeletSymbol +
          "_scatter(const void* scatter_val_stream, "
          "const void* scatter_col_stream, const void* scatter_aux_stream, "
@@ -436,22 +397,20 @@ std::string generate_cpu(const Meta& meta) {
   w.line("#include <cstdint>");
   w.line();
   w.line("using T = " + std::string(meta.type_name) + ";");
-  if (sc.raw) {
-    w.line("// Compact storage mode: value precision " +
-           std::string(value_precision_name(meta.value_precision)) +
-           ", scatter indices " +
-           std::string(scatter_index_mode_name(meta.scol_mode)) + ".");
-    if (sc.half) {
-      emit_half_decoder(w);
-    } else {
-      w.line("using VT = " +
-             std::string(meta.value_precision == ValuePrecision::kFloat32
-                             ? "float"
-                             : "T") +
-             ";");
-    }
-    if (sc.widen) w.line("using AT = double;");
+  w.line("// Storage mode: value precision " +
+         std::string(value_precision_name(meta.value_precision)) +
+         ", scatter indices " +
+         std::string(scatter_index_mode_name(meta.scol_mode)) + ".");
+  if (sc.half) {
+    emit_half_decoder(w);
+  } else {
+    w.line("using VT = " +
+           std::string(meta.value_precision == ValuePrecision::kFloat32
+                           ? "float"
+                           : "T") +
+           ";");
   }
+  if (sc.widen) w.line("using AT = double;");
   w.line();
   w.line("#if defined(_MSC_VER) && !defined(__clang__)");
   w.line("#define CRSD_RESTRICT __restrict");
@@ -470,24 +429,16 @@ std::string generate_cpu(const Meta& meta) {
   return w.str();
 }
 
-std::string x_base_expr(const Meta& meta, const DiagonalPattern& p,
-                        diag_offset_t off, const std::string& row_var,
-                        const std::string& base) {
-  const std::string shifted =
-      off == 0 ? row_var
-                : row_var + (off > 0 ? " + " + itos(off)
-                                     : " - " + itos(-std::int64_t{off}));
-  if (offset_in_range(meta, p, off)) return base + "[" + shifted + "]";
-  return base + "[crsd_clampi(" + shifted + ", 0, " + itos(meta.num_cols - 1) +
-         ")]";
-}
-
-/// Lane offset expression for interior accesses: "lane", "lane + 3",
-/// "lane - 2".
-std::string lane_off_expr(diag_offset_t off) {
-  if (off == 0) return "lane";
-  return off > 0 ? "lane + " + itos(off)
-                 : "lane - " + itos(-std::int64_t{off});
+/// The per-RHS column pointers xk<r> / yk<r> of a register block.
+void emit_rhs_streams(CodeWriter& w, int rhs) {
+  for (int r = 0; r < rhs; ++r) {
+    w.line("const T* xk" + itos(r) + " = " +
+           (r == 0 ? "x" : "xk" + itos(r - 1) + " + ldx") + ";");
+  }
+  for (int r = 0; r < rhs; ++r) {
+    w.line("T* yk" + itos(r) + " = " +
+           (r == 0 ? "y" : "yk" + itos(r - 1) + " + ldy") + ";");
+  }
 }
 
 /// Scalar clamped per-lane SpMM body for one edge segment of pattern `p`,
@@ -506,14 +457,7 @@ void emit_cpu_spmm_edge_segment_body(CodeWriter& w, const Meta& meta,
   w.line("const std::int32_t lanes = row0 + " + itos(meta.mrows) + " <= " +
          itos(meta.num_rows) + " ? " + itos(meta.mrows) + " : " +
          itos(meta.num_rows) + " - row0;");
-  for (int r = 0; r < rhs; ++r) {
-    w.line("const T* xk" + itos(r) + " = " +
-           (r == 0 ? "x" : "xk" + itos(r - 1) + " + ldx") + ";");
-  }
-  for (int r = 0; r < rhs; ++r) {
-    w.line("T* yk" + itos(r) + " = " +
-           (r == 0 ? "y" : "yk" + itos(r - 1) + " + ldy") + ";");
-  }
+  emit_rhs_streams(w, rhs);
   w.open("for (std::int32_t lane = 0; lane < lanes; ++lane)");
   w.line("const std::int32_t r = row0 + lane;");
   if (p.offsets.empty()) {
@@ -531,7 +475,7 @@ void emit_cpu_spmm_edge_segment_body(CodeWriter& w, const Meta& meta,
              itos(static_cast<std::int64_t>(d) * meta.mrows) + "];");
       for (int r = 0; r < rhs; ++r) {
         w.line("s" + itos(r) + " += " + val + " * " +
-               x_base_expr(meta, p, off, "r", "xk" + itos(r)) + ";");
+               x_index_expr(meta, p, off, "r", "xk" + itos(r)) + ";");
       }
     }
     for (int r = 0; r < rhs; ++r) {
@@ -592,7 +536,7 @@ void emit_cpu_spmm_interior_loop(CodeWriter& w, const Meta& meta,
       const std::string unit_ref =
           "unit[lane + " + itos(static_cast<std::int64_t>(d) * m) + "]";
       w.line((d == t0 && t0 == 0 ? "T s = " : "s += ") + unit_ref + " * xx[" +
-             lane_off_expr(off) + "];");
+             shifted("lane", off) + "];");
     }
     w.line("yy[lane] = s;");
     w.close();  // lane loop
@@ -637,14 +581,7 @@ void emit_cpu_spmm_scatter(CodeWriter& w, const Meta& meta, int rhs) {
     w.line("const std::int32_t i0 = row_begin < 0 ? 0 : row_begin;");
     w.line("const std::int32_t i1 = row_end > " + itos(nsr) + " ? " +
            itos(nsr) + " : row_end;");
-    for (int r = 0; r < rhs; ++r) {
-      w.line("const T* xk" + itos(r) + " = " +
-             (r == 0 ? "x" : "xk" + itos(r - 1) + " + ldx") + ";");
-    }
-    for (int r = 0; r < rhs; ++r) {
-      w.line("T* yk" + itos(r) + " = " +
-             (r == 0 ? "y" : "yk" + itos(r - 1) + " + ldy") + ";");
-    }
+    emit_rhs_streams(w, rhs);
     w.open("for (std::int32_t i = i0; i < i1; ++i)");
     for (int r = 0; r < rhs; ++r) {
       w.line("T s" + itos(r) + " = T(0);");

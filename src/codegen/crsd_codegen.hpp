@@ -21,13 +21,18 @@
 namespace crsd::codegen {
 
 /// Symbol stem of the CPU SpMV codelet. The generated functions are
-///   crsd_codelet_diag(const T* dia_val, const T* x, T* y,
+///   crsd_codelet_diag(const void* dia_stream, const T* x, T* y,
 ///                     int32_t seg_begin, int32_t seg_end)
-///   crsd_codelet_scatter(const T* scatter_val, const int32_t* scatter_col,
+///   crsd_codelet_scatter(const void* scatter_val_stream,
+///                        const void* scatter_col_stream,
+///                        const void* scatter_aux_stream,
 ///                        const int32_t* scatter_rowno, const T* x, T* y,
 ///                        int32_t row_begin, int32_t row_end)
-/// with T = double or float depending on the matrix's precision. Both
-/// phases take a range so callers can partition them across threads. The
+/// with T = double or float depending on the matrix's precision, for every
+/// storage mode. The streams are the container's active value, column and
+/// aux (delta row offsets, else null) streams; the codelet bakes their
+/// element types (T, float or binary16 values; i32, u16 or varint
+/// columns). Both phases take a range so callers can partition them. The
 /// diagonal phase carries the same interior/edge split as the interpreted
 /// engine: clamp-free restrict-qualified lane-innermost loops with constant
 /// trip counts for interior segments, the clamped scalar path for edge

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "codegen/codelet_lint.hpp"
 #include "codegen/crsd_codegen.hpp"
@@ -15,27 +16,32 @@
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "core/crsd_matrix.hpp"
+#include "core/row_partition.hpp"
 
 namespace crsd::codegen {
 
+/// Slices of the shared row partition a JIT kernel cuts once, at
+/// construction, for spmv_parallel. Enough that claiming them dynamically
+/// balances a pool of up to eight threads (eight slices per thread), few
+/// enough that a 2-thread sweep pays no visible claim overhead.
+inline constexpr int kJitSlices = 64;
+
 /// A compiled SpMV codelet bound to one CRSD structure. The diagonal phase
-/// takes a segment range, so the thread pool can partition segments exactly
-/// like work-groups on the GPU; the scatter phase runs once afterwards.
+/// takes a segment range and the scatter phase a scatter-row range, so a
+/// slice of the row partition (core/row_partition.hpp) runs as its
+/// segments, then its own scatter rows — like one work-group on the GPU.
 template <Real T>
 class CrsdJitKernel {
  public:
-  using DiagFn = void (*)(const T*, const T*, T*, std::int32_t, std::int32_t);
-  using ScatterFn = void (*)(const T*, const std::int32_t*,
+  /// The codelet ABI for every storage mode: value and column streams
+  /// travel untyped (the codelet bakes the real element types — T, float or
+  /// binary16 values, i32, u16 or varint byte-stream columns — into its
+  /// own source).
+  using DiagFn = void (*)(const void*, const T*, T*, std::int32_t,
+                          std::int32_t);
+  using ScatterFn = void (*)(const void*, const void*, const void*,
                              const std::int32_t*, const T*, T*, std::int32_t,
                              std::int32_t);
-  /// Compact-storage ABI: value/column streams travel untyped (the codelet
-  /// bakes the real element types — float/binary16 values, u16 or varint
-  /// byte-stream columns — into its own source).
-  using RawDiagFn = void (*)(const void*, const T*, T*, std::int32_t,
-                             std::int32_t);
-  using RawScatterFn = void (*)(const void*, const void*, const void*,
-                                const std::int32_t*, const T*, T*,
-                                std::int32_t, std::int32_t);
 
   /// Generates and compiles the codelet for `m`'s structure.
   /// Throws crsd::Error if no compiler is available or compilation fails.
@@ -48,20 +54,13 @@ class CrsdJitKernel {
   /// points crsd_codelet_{diag,scatter}.
   CrsdJitKernel(const CrsdMatrix<T>& m, JitCompiler& compiler,
                 std::string source)
-      : source_(std::move(source)) {
+      : source_(std::move(source)),
+        slices_(partition_segments(m, kJitSlices)) {
     lib_ = compiler.compile_and_load(source_);
-    raw_abi_ = m.value_precision() != ValuePrecision::kNative ||
-               m.scatter_index_mode() != ScatterIndexMode::kIndex32;
-    const std::string diag_sym = std::string(kCpuCodeletSymbol) + "_diag";
-    const std::string scatter_sym =
-        std::string(kCpuCodeletSymbol) + "_scatter";
-    if (raw_abi_) {
-      raw_diag_ = lib_.template symbol_as<RawDiagFn>(diag_sym);
-      raw_scatter_ = lib_.template symbol_as<RawScatterFn>(scatter_sym);
-    } else {
-      diag_ = lib_.template symbol_as<DiagFn>(diag_sym);
-      scatter_ = lib_.template symbol_as<ScatterFn>(scatter_sym);
-    }
+    diag_ = lib_.template symbol_as<DiagFn>(std::string(kCpuCodeletSymbol) +
+                                            "_diag");
+    scatter_ = lib_.template symbol_as<ScatterFn>(
+        std::string(kCpuCodeletSymbol) + "_scatter");
     num_segments_ = m.num_segments_total();
     num_scatter_rows_ = m.num_scatter_rows();
   }
@@ -71,45 +70,40 @@ class CrsdJitKernel {
   /// y = A*x using the compiled codelet. `m` must be the matrix the kernel
   /// was built from (or one with identical structure and storage mode).
   void spmv(const CrsdMatrix<T>& m, const T* x, T* y) const {
-    run_diag(m, x, y, 0, num_segments_);
-    run_scatter(m, x, y, 0, num_scatter_rows_);
+    run(m, x, y, 0, num_segments_, 0, num_scatter_rows_);
   }
 
-  /// Parallel variant: segments are dealt out in chunks (patterns differ in
-  /// per-segment cost, so dynamic claiming load-balances), and the scatter
-  /// phase is spread over the pool as well (one writer per scatter row).
+  /// Parallel variant, one pool dispatch: threads claim the kernel's row
+  /// partition slices dynamically (patterns differ in per-segment cost, and
+  /// a shared host may stall any one thread), and each slice runs its
+  /// segments, then its own scatter rows. Bitwise equal to spmv.
   void spmv_parallel(ThreadPool& pool, const CrsdMatrix<T>& m, const T* x,
                      T* y) const {
-    const index_t chunk = std::max<index_t>(
-        1, num_segments_ / (8 * static_cast<index_t>(pool.num_threads())));
-    pool.parallel_for_chunked(0, num_segments_, chunk,
-                              [&](index_t sb, index_t se, int) {
-                                run_diag(m, x, y, sb, se);
-                              });
-    pool.parallel_for(0, num_scatter_rows_,
-                      [&](index_t b, index_t e, int) {
-                        run_scatter(m, x, y, b, e);
-                      });
+    pool.parallel_for_chunked(
+        0, static_cast<index_t>(slices_.size()), 1,
+        [&](index_t b, index_t e, int) {
+          for (index_t i = b; i < e; ++i) {
+            const SegmentSlice& s = slices_[static_cast<std::size_t>(i)];
+            run(m, x, y, s.seg_begin, s.seg_end, s.scatter_begin,
+                s.scatter_end);
+          }
+        });
   }
 
  private:
-  static const void* dia_stream(const CrsdMatrix<T>& m) {
+  /// The active value stream of the diagonal part (`dia`) or the scatter
+  /// ELL.
+  static const void* value_stream(const CrsdMatrix<T>& m, bool dia) {
     const auto& s = m.storage();
     switch (s.value_precision) {
-      case ValuePrecision::kNative: return s.dia_val.data();
-      case ValuePrecision::kFloat32: return s.dia_val_f32.data();
-      case ValuePrecision::kFloat16: return s.dia_val_f16.data();
+      case ValuePrecision::kFloat32:
+        return dia ? s.dia_val_f32.data() : s.scatter_val_f32.data();
+      case ValuePrecision::kFloat16:
+        return dia ? s.dia_val_f16.data() : s.scatter_val_f16.data();
+      case ValuePrecision::kNative:
+        break;
     }
-    return nullptr;
-  }
-  static const void* scatter_val_stream(const CrsdMatrix<T>& m) {
-    const auto& s = m.storage();
-    switch (s.value_precision) {
-      case ValuePrecision::kNative: return s.scatter_val.data();
-      case ValuePrecision::kFloat32: return s.scatter_val_f32.data();
-      case ValuePrecision::kFloat16: return s.scatter_val_f16.data();
-    }
-    return nullptr;
+    return dia ? s.dia_val.data() : s.scatter_val.data();
   }
   static const void* scatter_col_stream(const CrsdMatrix<T>& m) {
     const auto& s = m.storage();
@@ -127,32 +121,19 @@ class CrsdJitKernel {
                : nullptr;
   }
 
-  void run_diag(const CrsdMatrix<T>& m, const T* x, T* y, index_t b,
-                index_t e) const {
-    if (raw_abi_) {
-      raw_diag_(dia_stream(m), x, y, b, e);
-    } else {
-      diag_(m.dia_values().data(), x, y, b, e);
-    }
-  }
-  void run_scatter(const CrsdMatrix<T>& m, const T* x, T* y, index_t b,
-                   index_t e) const {
-    if (raw_abi_) {
-      raw_scatter_(scatter_val_stream(m), scatter_col_stream(m),
-                   scatter_aux_stream(m), m.scatter_rows().data(), x, y, b, e);
-    } else {
-      scatter_(m.scatter_val().data(), m.scatter_col().data(),
-               m.scatter_rows().data(), x, y, b, e);
-    }
+  /// Segments [sb, se), then scatter rows [rb, re).
+  void run(const CrsdMatrix<T>& m, const T* x, T* y, index_t sb, index_t se,
+           index_t rb, index_t re) const {
+    diag_(value_stream(m, true), x, y, sb, se);
+    scatter_(value_stream(m, false), scatter_col_stream(m),
+             scatter_aux_stream(m), m.scatter_rows().data(), x, y, rb, re);
   }
 
   std::string source_;
   JitLibrary lib_;
-  bool raw_abi_ = false;
   DiagFn diag_ = nullptr;
   ScatterFn scatter_ = nullptr;
-  RawDiagFn raw_diag_ = nullptr;
-  RawScatterFn raw_scatter_ = nullptr;
+  std::vector<SegmentSlice> slices_;
   index_t num_segments_ = 0;
   index_t num_scatter_rows_ = 0;
 };

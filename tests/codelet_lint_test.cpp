@@ -17,6 +17,7 @@
 #include "core/build_api.hpp"
 #include "kernels/crsd_gpu.hpp"
 #include "matrix/generators.hpp"
+#include "matrix/paper_suite.hpp"
 
 namespace crsd::codegen {
 namespace {
@@ -86,6 +87,16 @@ TEST(CodeletLint, FlagsMissingEntryPoint) {
               "extern \"C\" void crsd_codelet_scatter2(");
   EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
                        Code::kLintMissingSymbol));
+
+  // The SpMM codelet declares each register-block width next to both of
+  // its entry points; with both markers gone the width is undeclared.
+  const std::string marker = "// rhs_block 4 vectors";
+  const std::string spmm =
+      mutated(mutated(generate_cpu_spmm_codelet_source(m), marker,
+                      "// rhs_block vectors"),
+              marker, "// rhs_block vectors");
+  EXPECT_TRUE(has_code(lint_cpu_spmm_codelet_source(m, spmm),
+                       Code::kLintMissingSymbol));
 }
 
 TEST(CodeletLint, FlagsWrongLaneTripCount) {
@@ -105,6 +116,19 @@ TEST(CodeletLint, FlagsWrongColumnClampBound) {
                                   ", 0, 127)", ", 0, 126)");
   EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
                        Code::kLintBakedOffset));
+
+  // Dropping the clamp on pattern 0's first edge row reads x[-1].
+  const std::string unclamped = mutated(generate_cpu_codelet_source(m),
+                                        "x[crsd_clampi(r - 1, 0, 127)]",
+                                        "x[r - 1]");
+  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, unclamped),
+                       Code::kLintBakedOffset));
+  const std::string unclamped_gpu =
+      mutated(generate_gpu_codelet_source(m),
+              "x[crsd_clampi((row0 + lane) - 1, 0, 127)]",
+              "x[(row0 + lane) - 1]");
+  EXPECT_TRUE(has_code(lint_gpu_codelet_source(m, unclamped_gpu),
+                       Code::kLintBakedOffset));
 }
 
 TEST(CodeletLint, FlagsBakedOffsetThatIsNoLiveDiagonal) {
@@ -115,6 +139,12 @@ TEST(CodeletLint, FlagsBakedOffsetThatIsNoLiveDiagonal) {
   const std::string src = mutated(generate_cpu_codelet_source(m),
                                   "xx[lane - 16]", "xx[lane - 17]");
   EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
+                       Code::kLintBakedOffset));
+
+  // The SpMM codelet reads each right-hand side through its own stream.
+  const std::string spmm = mutated(generate_cpu_spmm_codelet_source(m),
+                                   "xk1[r + 16]", "xk1[r + 15]");
+  EXPECT_TRUE(has_code(lint_cpu_spmm_codelet_source(m, spmm),
                        Code::kLintBakedOffset));
 }
 
@@ -142,6 +172,26 @@ TEST(CodeletLint, FlagsWrongInteriorSplit) {
       mutated(generate_cpu_codelet_source(m), anchor, wrong);
   EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
                        Code::kLintInteriorSplit));
+
+  const std::string end_anchor =
+      "i1 = crsd_clampi(" + std::to_string(in.end) + ", i0, g1)";
+  const std::string end_wrong =
+      "i1 = crsd_clampi(" + std::to_string(in.end - 1) + ", i0, g1)";
+  const std::string src_end =
+      mutated(generate_cpu_codelet_source(m), end_anchor, end_wrong);
+  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src_end),
+                       Code::kLintInteriorSplit));
+
+  // The pattern marker records the split as well.
+  const std::string marker_anchor = "interior [" + std::to_string(in.begin) +
+                                    ", " + std::to_string(in.end) + ")";
+  const std::string marker_wrong = "interior [" +
+                                   std::to_string(in.begin + 1) + ", " +
+                                   std::to_string(in.end) + ")";
+  const std::string src_marker =
+      mutated(generate_cpu_codelet_source(m), marker_anchor, marker_wrong);
+  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src_marker),
+                       Code::kLintInteriorSplit));
 }
 
 TEST(CodeletLint, FlagsWrongSegmentBound) {
@@ -149,6 +199,17 @@ TEST(CodeletLint, FlagsWrongSegmentBound) {
   const std::string src = mutated(generate_cpu_codelet_source(m),
                                   "g1 = seg_end < 8", "g1 = seg_end < 9");
   EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src),
+                       Code::kLintPatternDispatch));
+
+  // Pattern 1 owns segments [1, 7): its lower clamp and its marker.
+  const std::string src_g0 =
+      mutated(generate_cpu_codelet_source(m), "g0 = seg_begin > 1 ? ",
+              "g0 = seg_begin > 2 ? ");
+  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src_g0),
+                       Code::kLintPatternDispatch));
+  const std::string src_marker = mutated(
+      generate_cpu_codelet_source(m), "segments [1, 7)", "segments [1, 8)");
+  EXPECT_TRUE(has_code(lint_cpu_codelet_source(m, src_marker),
                        Code::kLintPatternDispatch));
 }
 
@@ -284,6 +345,46 @@ TEST(CodeletLint, CleanOnCompactStorageModes) {
     const auto diags =
         lint_cpu_codelet_source(m, generate_cpu_codelet_source(m));
     EXPECT_TRUE(diags.empty()) << check::format_diagnostics(diags);
+  }
+}
+
+// Every line shape the generators emit over the paper suite must scan
+// clean: generate and lint only, no compile.
+TEST(CodeletLint, CleanOnPaperSuiteInEveryStorageMode) {
+  const StorageOptions modes[] = {
+      {},
+      {ValuePrecision::kNative, true, false},
+      {ValuePrecision::kNative, false, true},
+      {ValuePrecision::kFloat32, true, false},
+      {ValuePrecision::kFloat32, false, true},
+      {ValuePrecision::kFloat16, true, false},
+  };
+  for (const MatrixSpec& spec : paper_suite()) {
+    const Coo<double> a = spec.generate(0.02);
+    for (const StorageOptions& s : modes) {
+      CrsdConfig cfg;
+      cfg.mrows = 32;
+      cfg.storage = s;
+      const auto m = build(a, cfg);
+      const auto diags =
+          lint_cpu_codelet_source(m, generate_cpu_codelet_source(m));
+      EXPECT_TRUE(diags.empty())
+          << spec.name << " " << value_precision_name(s.value_precision)
+          << " " << scatter_index_mode_name(m.scatter_index_mode()) << "\n"
+          << check::format_diagnostics(diags);
+      if (s.value_precision != ValuePrecision::kNative ||
+          m.scatter_index_mode() != ScatterIndexMode::kIndex32) {
+        continue;
+      }
+      const auto spmm =
+          lint_cpu_spmm_codelet_source(m, generate_cpu_spmm_codelet_source(m));
+      EXPECT_TRUE(spmm.empty())
+          << spec.name << " SpMM\n" << check::format_diagnostics(spmm);
+      const auto gpu =
+          lint_gpu_codelet_source(m, generate_gpu_codelet_source(m));
+      EXPECT_TRUE(gpu.empty())
+          << spec.name << " GPU\n" << check::format_diagnostics(gpu);
+    }
   }
 }
 

@@ -354,18 +354,25 @@ TEST(MixedPrecision, JitCodeletParity) {
 
   std::vector<StorageOptions> modes = compact_modes();
   modes.push_back({});
+  ThreadPool pool(4);
   for (const auto& mode : modes) {
     const auto m = build_mode(a, mode);
+    ASSERT_GT(m.num_scatter_rows(), 0) << mode_name(mode);
     auto kernel = codegen::make_jit_kernel(m, compiler);
     ASSERT_TRUE(kernel.has_value()) << mode_name(mode);
     const auto y_ref = spmv_of(m, x);
     std::vector<double> y(static_cast<std::size_t>(a.num_rows()));
+    std::vector<double> y_par(y.size(), -1.0);
     kernel->spmv(m, x.data(), y.data());
+    // Row partition slices on the pool: each runs its segments, then its
+    // own scatter rows.
+    kernel->spmv_parallel(pool, m, x.data(), y_par.data());
     // The codelet mirrors the container kernels' accumulation order and
     // half-decode bit algorithm, so parity is exact, not just within
     // tolerance.
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], y_ref[i]) << mode_name(mode) << " row " << i;
+      ASSERT_EQ(y_par[i], y[i]) << mode_name(mode) << " parallel row " << i;
     }
   }
   std::error_code ec;
